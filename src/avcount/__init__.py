@@ -33,6 +33,7 @@ from .features import (
 from .nn_core import NetworkSpec, NumericError, TrainedModel, forward, train
 from .distreg import (
     RegressionPipeline,
+    cascade,
     load_pipeline,
     predict_distance,
     save_pipeline,
@@ -62,7 +63,6 @@ from .deepcount import ConvCounterSpec, DeepCounter, conv_forward, predict_count
 from .synthgen import SceneSpec, generate_corpus, generate_scene
 from .experiments import (
     EvalContext,
-    ExperimentConfig,
     GridSpec,
     RunResult,
     TUNED_DETECTORS,

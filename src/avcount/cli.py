@@ -14,17 +14,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
 from . import deepcount, distreg, experiments, metrics, peakdet, synthgen
 from .config import ToolConfig, load_config
-from .dataio import DataError, load_clip, load_corpus, reference_distance, split_dataset
-from .features import (
-    extract_features,
-    read_feature_cache,
-    standardize,
-    write_feature_cache,
-)
+from .dataio import DataError, load_clip, load_corpus, reference_distance
+from .features import extract_features, read_feature_cache, write_feature_cache
 from .nn_core import NumericError
 
 
@@ -63,23 +56,6 @@ def _wav_paths(directory):
     return [os.path.join(directory, f) for f in names]
 
 
-def _stage_specs(cfg: ToolConfig):
-    input_dim = (2 * cfg.q + 1) * cfg.spectrogram.n_mel
-    s1_kw = {"epochs": cfg.epochs, "seed": cfg.seed}
-    s1_kw.update(cfg.stage1_overrides)
-    s2_kw = {"epochs": cfg.epochs, "seed": cfg.seed + 1}
-    s2_kw.update(cfg.stage2_overrides)
-    s1_l2 = s1_kw.pop("l2_factor", distreg.STAGE1_L2)
-    s2_l2 = s2_kw.pop("l2_factor", distreg.STAGE2_L2)
-    s1 = distreg.stage1_spec(input_dim=input_dim, **s1_kw)
-    s2 = distreg.stage2_spec(k=cfg.k, **s2_kw)
-    if s1_l2 != s1.l2_factor:
-        s1 = replace(s1, l2_factor=s1_l2)
-    if s2_l2 != s2.l2_factor:
-        s2 = replace(s2, l2_factor=s2_l2)
-    return s1, s2
-
-
 def _prepare_corpus(cfg: ToolConfig, data_dir, jobs, cache_dir=None):
     clips, anns = load_corpus(data_dir)
 
@@ -87,7 +63,7 @@ def _prepare_corpus(cfg: ToolConfig, data_dir, jobs, cache_dir=None):
         if cache_dir is not None:
             path = os.path.join(cache_dir, clip.id + ".avcf")
             if os.path.exists(path):
-                return read_feature_cache(path)
+                return read_feature_cache(path, clip.id, cfg.spectrogram, cfg.q, cfg.stride)
         return extract_features(clip, cfg.spectrogram, cfg.q, cfg.stride)
 
     feats = _parallel_map(one, clips, jobs)
@@ -116,7 +92,9 @@ def cmd_extract(args):
     def one(path):
         clip = load_clip(path)
         fm = extract_features(clip, cfg.spectrogram, cfg.q, cfg.stride)
-        write_feature_cache(os.path.join(args.out, clip.id + ".avcf"), fm)
+        write_feature_cache(
+            os.path.join(args.out, clip.id + ".avcf"), fm, cfg.spectrogram, cfg.q, cfg.stride
+        )
         return clip.id
 
     ids = _parallel_map(one, paths, args.jobs)
@@ -129,55 +107,22 @@ def cmd_train(args):
     clips, anns, features, targets = _prepare_corpus(
         cfg, args.data, args.jobs, cache_dir=args.cache
     )
-    ids = [c.id for c in clips]
-    split = split_dataset(ids, cfg.split_ratio, cfg.seed)
-    s1_spec, s2_spec = _stage_specs(cfg)
-    pipeline = distreg.train_pipeline(
-        [features[i] for i in split.train_ids],
-        [targets[i] for i in split.train_ids],
-        cfg.spectrogram,
-        s1_spec,
-        s2_spec,
-        q=cfg.q,
-        stride=cfg.stride,
-        k=cfg.k,
-        t_d=cfg.t_d,
+    split, pipeline, coarse, fine = experiments.train_and_predict(
+        cfg, [c.id for c in clips], features, targets, cfg.seed
     )
     distreg.save_pipeline(pipeline, args.out)
-
-    std_val, _ = standardize(
-        [features[i] for i in split.val_ids], pipeline.feature_stats
-    )
-    mses = []
-    for i, fm in zip(split.val_ids, std_val):
-        coarse = distreg.predict_stage1(pipeline.stage1, fm, cfg.t_d)
-        fine = distreg.predict_stage2(pipeline.stage2, coarse, cfg.k, cfg.t_d)
-        mses.append(
-            (
-                np.mean((coarse.values - targets[i].values) ** 2),
-                np.mean((fine.values - targets[i].values) ** 2),
-            )
-        )
-    if mses:
-        m1, m2 = np.mean([a for a, _ in mses]), np.mean([b for _, b in mses])
-        print(f"saved pipeline to {args.out} (val MSE stage1 {m1:.3e}, stage2 {m2:.3e})")
-    else:
-        print(f"saved pipeline to {args.out}")
+    m1, m2 = experiments.mean_mse(coarse, targets), experiments.mean_mse(fine, targets)
+    print(f"saved pipeline to {args.out} (val MSE stage1 {m1:.3e}, stage2 {m2:.3e})")
 
     if args.deep:
-        deep_spec = cfg.deep or deepcount.ConvCounterSpec()
-        deep_spec = replace(deep_spec, seed=cfg.seed)
-        std_train, _ = standardize(
-            [features[i] for i in split.train_ids], pipeline.feature_stats
+        counter = experiments.train_deep_counter(
+            cfg.deep or deepcount.ConvCounterSpec(),
+            pipeline,
+            features,
+            {a.clip_id: a for a in anns},
+            split.train_ids,
+            cfg.seed,
         )
-        series = []
-        counts = []
-        anns_by_id = {a.clip_id: a for a in anns}
-        for i, fm in zip(split.train_ids, std_train):
-            coarse = distreg.predict_stage1(pipeline.stage1, fm, cfg.t_d)
-            series.append(distreg.predict_stage2(pipeline.stage2, coarse, cfg.k, cfg.t_d))
-            counts.append(anns_by_id[i].n_vehicles)
-        counter = deepcount.train_counter(deep_spec, series, counts)
         deepcount.save_counter(counter, os.path.join(args.out, "deep.ckpt"))
         print(f"saved deep counter to {os.path.join(args.out, 'deep.ckpt')}")
     return 0
@@ -208,15 +153,14 @@ def cmd_predict(args):
 
 def cmd_count(args):
     pipeline = distreg.load_pipeline(args.model)
-    cfg = load_config(args.config) if args.config else None
-    det = cfg.detector if cfg else experiments.TUNED_DETECTORS["VCNN"]
+    cfg = load_config(args.config) if args.config else ToolConfig()
     t_det = args.tdet if args.tdet is not None else pipeline.t_d
     if not 0 <= t_det <= pipeline.t_d:
         raise DataError(f"--tdet must lie in [0, {pipeline.t_d}]")
     results = _predict_series(pipeline, _wav_paths(args.audio), args.jobs)
     total = 0
     for clip_id, series in results:
-        detections = peakdet.detect_vehicles(series, det)
+        detections = peakdet.detect_vehicles(series, cfg.detector)
         n = peakdet.count_at_threshold(detections, t_det)
         total += n
         print(f"{clip_id},{n}")
@@ -235,8 +179,8 @@ def cmd_eval(args):
     anns_by_id = {a.clip_id: a for a in anns}
 
     def one(clip):
-        coarse = distreg.predict_coarse(pipeline, clip)
-        fine = distreg.predict_stage2(pipeline.stage2, coarse, pipeline.k, pipeline.t_d)
+        fm = extract_features(clip, pipeline.spectrogram, pipeline.q, pipeline.stride)
+        (coarse,), (fine,) = distreg.cascade(pipeline, [fm])
         return clip.id, coarse, fine
 
     rows = _parallel_map(one, clips, args.jobs)
@@ -245,6 +189,7 @@ def cmd_eval(args):
         stage2={cid: fine for cid, _, fine in rows},
         stage1={cid: coarse for cid, coarse, _ in rows},
         t_d=pipeline.t_d,
+        detector=cfg.detector,
     )
     os.makedirs(args.out, exist_ok=True)
     for variant in variants:
@@ -261,32 +206,13 @@ def cmd_eval(args):
 def cmd_gridsearch(args):
     cfg = load_config(args.config)
     clips, anns, features, targets = _prepare_corpus(cfg, args.data, args.jobs)
-    ids = [c.id for c in clips]
-    split = split_dataset(ids, cfg.split_ratio, cfg.seed)
-    s1_spec, s2_spec = _stage_specs(cfg)
-    pipeline = distreg.train_pipeline(
-        [features[i] for i in split.train_ids],
-        [targets[i] for i in split.train_ids],
-        cfg.spectrogram,
-        s1_spec,
-        s2_spec,
-        q=cfg.q,
-        stride=cfg.stride,
-        k=cfg.k,
-        t_d=cfg.t_d,
-    )
-    std_val, _ = standardize(
-        [features[i] for i in split.val_ids], pipeline.feature_stats
+    _, _, _, fine = experiments.train_and_predict(
+        cfg, [c.id for c in clips], features, targets, cfg.seed
     )
     anns_by_id = {a.clip_id: a for a in anns}
-    predictions, val_anns = [], []
-    for i, fm in zip(split.val_ids, std_val):
-        coarse = distreg.predict_stage1(pipeline.stage1, fm, cfg.t_d)
-        predictions.append(
-            distreg.predict_stage2(pipeline.stage2, coarse, cfg.k, cfg.t_d)
-        )
-        val_anns.append(anns_by_id[i])
-    best, table = experiments.grid_search(predictions, val_anns, cfg.grid, cfg.t_d)
+    best, table = experiments.grid_search(
+        fine.values(), [anns_by_id[i] for i in fine], cfg.grid, cfg.t_d
+    )
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -320,20 +246,7 @@ def cmd_experiment(args):
     out_dir = cfg.paths.get("out_dir")
     if not data_dir or not out_dir:
         raise DataError("experiment config needs paths.data_dir and paths.out_dir")
-    exp = experiments.ExperimentConfig(
-        corpus_dir=data_dir,
-        spectrogram=cfg.spectrogram,
-        q=cfg.q,
-        stride=cfg.stride,
-        k=cfg.k,
-        t_d=cfg.t_d,
-        epochs=cfg.epochs,
-        base_seed=cfg.seed,
-        split_ratio=cfg.split_ratio,
-        variants=cfg.variants,
-        deep_spec=cfg.deep,
-    )
-    results, failures, bands = experiments.multi_run(exp, cfg.n_runs)
+    results, failures, bands = experiments.multi_run(cfg)
     os.makedirs(out_dir, exist_ok=True)
     for res in results:
         for variant, report in res.reports.items():
@@ -353,14 +266,14 @@ def cmd_experiment(args):
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["run_seed", "stage1_mse", "stage2_mse"]
-        for variant in exp.variants:
+        for variant in cfg.variants:
             header += [f"{variant}_area_ptp", f"{variant}_efp"]
         if cfg.deep is not None:
             header.append("deep_rvce")
         writer.writerow(header)
         for res in results:
             row = [res.run_seed, f"{res.stage1_mse:.6e}", f"{res.stage2_mse:.6e}"]
-            for variant in exp.variants:
+            for variant in cfg.variants:
                 rep = res.reports[variant]
                 efp = "" if rep.efp_value is None else f"{rep.efp_value:.6f}"
                 row += [f"{rep.area_ptp:.6f}", efp]

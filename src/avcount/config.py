@@ -8,9 +8,10 @@ overrides the configured seed.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .dataio import DataError
+from . import distreg
+from .dataio import DEFAULT_T_D, DataError
 from .deepcount import ConvCounterSpec
 from .experiments import GridSpec
 from .features import SpectrogramConfig
@@ -59,7 +60,7 @@ _SCENE_KEYS = {
     "seed",
 }
 _DEEP_KEYS = {"conv_layers", "head_sizes", "loss", "epochs", "batch_clips", "learning_rate", "seed"}
-_PATH_KEYS = {"data_dir", "out_dir", "model_dir"}
+_PATH_KEYS = {"data_dir", "out_dir"}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -71,7 +72,7 @@ def _check_keys(section: dict, allowed: set, where: str):
 @dataclass
 class ToolConfig:
     seed: int = 0
-    t_d: float = 0.75
+    t_d: float = DEFAULT_T_D
     k: int = 15
     q: int = 5
     stride: int = 2
@@ -88,6 +89,17 @@ class ToolConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
     deep: ConvCounterSpec | None = None
     paths: dict = field(default_factory=dict)
+
+    def stage_specs(self, seed: int):
+        """(Stage-1, Stage-2) network specs seeded seed and seed + 1.
+
+        The ``stage1`` / ``stage2`` config sections override the method
+        defaults field by field.
+        """
+        input_dim = (2 * self.q + 1) * self.spectrogram.n_mel
+        s1 = distreg.stage1_spec(input_dim=input_dim, epochs=self.epochs, seed=seed)
+        s2 = distreg.stage2_spec(k=self.k, epochs=self.epochs, seed=seed + 1)
+        return replace(s1, **self.stage1_overrides), replace(s2, **self.stage2_overrides)
 
 
 def load_config(path=None) -> ToolConfig:

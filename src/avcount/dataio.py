@@ -16,7 +16,6 @@ import numpy as np
 
 DEFAULT_SAMPLE_RATE = 44100
 DEFAULT_T_D = 0.75  # distance clip threshold, seconds
-DEFAULT_HOP = 1634  # frame hop in samples at 44.1 kHz
 
 
 class DataError(Exception):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core
-from .dataio import AudioClip, DataError, DistanceSeries
+from .dataio import DEFAULT_T_D, AudioClip, DataError, DistanceSeries
 from .features import (
     DEFAULT_CONTEXT_STRIDE,
     DEFAULT_Q,
@@ -28,7 +28,6 @@ from .features import (
 from .nn_core import NetworkSpec, TrainedModel
 
 DEFAULT_K = 15
-DEFAULT_T_D = 0.75
 STAGE1_L2 = 1e-4
 STAGE2_L2 = 5e-6
 
@@ -178,17 +177,24 @@ def train_pipeline(
     )
 
 
-def predict_coarse(pipeline: RegressionPipeline, clip: AudioClip) -> DistanceSeries:
-    """Stage-1 output for a clip (the VCNN_S1 series)."""
-    fm = extract_features(clip, pipeline.spectrogram, pipeline.q, pipeline.stride)
-    (fm,), _ = standardize([fm], pipeline.feature_stats)
-    return predict_stage1(pipeline.stage1, fm, pipeline.t_d)
+def cascade(pipeline: RegressionPipeline, raw_features):
+    """Run the trained cascade on raw (unstandardized) per-clip features.
+
+    Standardizes with the pipeline's statistics, then Stage 1, then Stage 2
+    on windows of the Stage-1 output. Returns parallel lists (coarse, fine)
+    of DistanceSeries, one per input clip.
+    """
+    std_features, _ = standardize(list(raw_features), pipeline.feature_stats)
+    coarse = [predict_stage1(pipeline.stage1, fm, pipeline.t_d) for fm in std_features]
+    fine = [predict_stage2(pipeline.stage2, c, pipeline.k, pipeline.t_d) for c in coarse]
+    return coarse, fine
 
 
 def predict_distance(pipeline: RegressionPipeline, clip: AudioClip) -> DistanceSeries:
     """Full cascade: features -> standardize -> Stage 1 -> Stage 2 -> clamp."""
-    coarse = predict_coarse(pipeline, clip)
-    return predict_stage2(pipeline.stage2, coarse, pipeline.k, pipeline.t_d)
+    fm = extract_features(clip, pipeline.spectrogram, pipeline.q, pipeline.stride)
+    _, (fine,) = cascade(pipeline, [fm])
+    return fine
 
 
 # --- pipeline bundle on disk -------------------------------------------------

@@ -8,15 +8,19 @@ predicted series it consumes.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import deepcount, distreg, metrics
-from .dataio import load_corpus, reference_distance, split_dataset
-from .features import SpectrogramConfig, extract_features, standardize
+from .dataio import DEFAULT_T_D, load_corpus, reference_distance, split_dataset
+from .features import extract_features
 from .metrics import MetricsReport, compute_curve, confidence_interval
 from .nn_core import NumericError
 from .peakdet import DetectorSpec, SmootherSpec, detect_vehicles, peak_candidates
+
+if TYPE_CHECKING:  # config imports GridSpec from here
+    from .config import ToolConfig
 
 # tuned detection parameters per variant (smoother lengths, M, P as fractions of t_d)
 TUNED_DETECTORS = {
@@ -52,7 +56,7 @@ def _mean_abs_rvce(report: MetricsReport, t_d, lo_frac, hi_frac) -> float:
     return float(np.mean(vals))
 
 
-def grid_search(predictions, annotations, grid: GridSpec, t_d: float, n_points: int = 100):
+def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
     """Exhaustive (smoother, M, P) search minimizing mean |RVCE|.
 
     The objective averages |RVCE| over the threshold grid points inside
@@ -76,7 +80,7 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float, n_points: 
                     (iv, [p for p in cands if p.magnitude > m_th or p.prominence > p_th])
                     for iv, cands in zip(intervals, candidates)
                 ]
-                report = compute_curve(per_clip, t_d, n_points)
+                report = compute_curve(per_clip, t_d)
                 score = _mean_abs_rvce(report, t_d, grid.objective_lo, grid.objective_hi)
                 table.append(
                     {
@@ -100,12 +104,13 @@ class EvalContext:
     stage2: dict
     stage1: dict | None = None
     f0_stage2: dict | None = None
-    t_d: float = distreg.DEFAULT_T_D
+    t_d: float = DEFAULT_T_D
+    detector: DetectorSpec = TUNED_DETECTORS["VCNN"]  # the VCNN variant's detector
 
 
 def _variant_inputs(variant: str, ctx: EvalContext):
     if variant == "VCNN":
-        return TUNED_DETECTORS["VCNN"], ctx.stage2
+        return ctx.detector, ctx.stage2
     if variant == "VCNN_S1":
         if ctx.stage1 is None:
             raise ValueError("VCNN_S1 needs Stage-1 predictions in the context")
@@ -120,7 +125,7 @@ def _variant_inputs(variant: str, ctx: EvalContext):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def run_ablation(variant: str, ctx: EvalContext, n_points: int = 100) -> MetricsReport:
+def run_ablation(variant: str, ctx: EvalContext) -> MetricsReport:
     """Evaluate one variant on the context's clips."""
     det, series_by_id = _variant_inputs(variant, ctx)
     per_clip = []
@@ -129,7 +134,7 @@ def run_ablation(variant: str, ctx: EvalContext, n_points: int = 100) -> Metrics
         per_clip.append(
             (metrics.build_intervals(ann, ctx.t_d), detect_vehicles(series, det))
         )
-    return compute_curve(per_clip, ctx.t_d, n_points)
+    return compute_curve(per_clip, ctx.t_d)
 
 
 @dataclass
@@ -141,131 +146,90 @@ class RunResult:
     deep_rvce: float | None = None
 
 
-@dataclass
-class ExperimentConfig:
-    corpus_dir: str
-    spectrogram: SpectrogramConfig = SpectrogramConfig()
-    q: int = 5
-    stride: int = 2
-    k: int = 15
-    t_d: float = distreg.DEFAULT_T_D
-    epochs: int = 100
-    base_seed: int = 0
-    split_ratio: float = 0.8
-    variants: tuple = ("VCNN", "VCNN_S1")
-    deep_spec: deepcount.ConvCounterSpec | None = None
-    n_points: int = 100
-
-
-def _feature_dim(cfg: SpectrogramConfig, q: int) -> int:
-    return (2 * q + 1) * cfg.n_mel
-
-
-def prepare_dataset(config: ExperimentConfig):
-    """Load the corpus, extract raw features, build reference targets.
+def prepare_dataset(cfg: "ToolConfig"):
+    """Load the corpus in ``paths.data_dir``, extract raw features, build targets.
 
     Returns (ids, features_by_id, targets_by_id, anns_by_id, f0 variants of
-    the same when any f0 variant is requested).
+    the features when any f0 variant is requested).
     """
-    clips, anns = load_corpus(config.corpus_dir)
-    features = {
-        c.id: extract_features(c, config.spectrogram, config.q, config.stride)
-        for c in clips
-    }
+    clips, anns = load_corpus(cfg.paths["data_dir"])
+    features = {c.id: extract_features(c, cfg.spectrogram, cfg.q, cfg.stride) for c in clips}
     targets = {}
     for c, a in zip(clips, anns):
         fm = features[c.id]
-        targets[c.id] = reference_distance(a, fm.frames, fm.frame_period, config.t_d)
+        targets[c.id] = reference_distance(a, fm.frames, fm.frame_period, cfg.t_d)
     anns_by_id = {a.clip_id: a for a in anns}
     f0_features = None
-    if any(v == "VCNN_f0" for v in config.variants):
-        f0_cfg = replace(config.spectrogram, f_min=0.0)
-        f0_features = {
-            c.id: extract_features(c, f0_cfg, config.q, config.stride) for c in clips
-        }
+    if any(v == "VCNN_f0" for v in cfg.variants):
+        f0_cfg = replace(cfg.spectrogram, f_min=0.0)
+        f0_features = {c.id: extract_features(c, f0_cfg, cfg.q, cfg.stride) for c in clips}
     return [c.id for c in clips], features, targets, anns_by_id, f0_features
 
 
-def _train_and_predict(config, features, targets, train_ids, eval_ids, seed, spectrogram):
-    s1 = distreg.stage1_spec(
-        input_dim=_feature_dim(spectrogram, config.q), epochs=config.epochs, seed=seed
-    )
-    s2 = distreg.stage2_spec(k=config.k, epochs=config.epochs, seed=seed + 1)
+def train_and_predict(cfg: "ToolConfig", ids, features, targets, seed: int):
+    """Split, train the cascade on the train part, run it on the val part.
+
+    The split comes from ``cfg.seed`` and stays fixed; ``seed`` seeds the
+    networks. Returns (split, pipeline, coarse, fine), the series as dicts
+    keyed by validation clip id.
+    """
+    split = split_dataset(ids, cfg.split_ratio, cfg.seed)
+    s1, s2 = cfg.stage_specs(seed)
     pipeline = distreg.train_pipeline(
-        [features[i] for i in train_ids],
-        [targets[i] for i in train_ids],
-        spectrogram,
+        [features[i] for i in split.train_ids],
+        [targets[i] for i in split.train_ids],
+        cfg.spectrogram,
         s1,
         s2,
-        q=config.q,
-        stride=config.stride,
-        k=config.k,
-        t_d=config.t_d,
+        q=cfg.q,
+        stride=cfg.stride,
+        k=cfg.k,
+        t_d=cfg.t_d,
     )
-    std_eval, _ = standardize([features[i] for i in eval_ids], pipeline.feature_stats)
-    stage1 = {
-        i: distreg.predict_stage1(pipeline.stage1, fm, config.t_d)
-        for i, fm in zip(eval_ids, std_eval)
-    }
-    stage2 = {
-        i: distreg.predict_stage2(pipeline.stage2, stage1[i], config.k, config.t_d)
-        for i in eval_ids
-    }
-    return pipeline, stage1, stage2
+    coarse, fine = distreg.cascade(pipeline, [features[i] for i in split.val_ids])
+    return split, pipeline, dict(zip(split.val_ids, coarse)), dict(zip(split.val_ids, fine))
 
 
-def single_run(config: ExperimentConfig, dataset, run_seed: int) -> RunResult:
+def mean_mse(series_by_id, targets) -> float:
+    """Mean over clips of each clip's MSE against its reference distance."""
+    return float(
+        np.mean([np.mean((s.values - targets[i].values) ** 2) for i, s in series_by_id.items()])
+    )
+
+
+def train_deep_counter(spec, pipeline, features, anns_by_id, train_ids, seed: int):
+    """Fit the deep counter on the cascade's Stage-2 series of the train clips."""
+    _, fine = distreg.cascade(pipeline, [features[i] for i in train_ids])
+    return deepcount.train_counter(
+        replace(spec, seed=seed), fine, [anns_by_id[i].n_vehicles for i in train_ids]
+    )
+
+
+def single_run(cfg: "ToolConfig", dataset, run_seed: int) -> RunResult:
     """One full train + evaluate pass; eval set is the held-out split."""
     ids, features, targets, anns_by_id, f0_features = dataset
-    split = split_dataset(ids, config.split_ratio, config.base_seed)
-    train_ids, eval_ids = list(split.train_ids), list(split.val_ids)
-
-    pipeline, stage1, stage2 = _train_and_predict(
-        config, features, targets, train_ids, eval_ids, run_seed, config.spectrogram
-    )
-    mse1 = float(
-        np.mean(
-            [np.mean((stage1[i].values - targets[i].values) ** 2) for i in eval_ids]
-        )
-    )
-    mse2 = float(
-        np.mean(
-            [np.mean((stage2[i].values - targets[i].values) ** 2) for i in eval_ids]
-        )
-    )
+    split, pipeline, stage1, stage2 = train_and_predict(cfg, ids, features, targets, run_seed)
+    eval_ids = split.val_ids
     ctx = EvalContext(
         annotations={i: anns_by_id[i] for i in eval_ids},
         stage2=stage2,
         stage1=stage1,
-        t_d=config.t_d,
+        t_d=cfg.t_d,
+        detector=cfg.detector,
     )
     if f0_features is not None:
-        f0_cfg = replace(config.spectrogram, f_min=0.0)
-        _, _, f0_stage2 = _train_and_predict(
-            config, f0_features, targets, train_ids, eval_ids, run_seed, f0_cfg
-        )
-        ctx.f0_stage2 = f0_stage2
+        f0_cfg = replace(cfg, spectrogram=replace(cfg.spectrogram, f_min=0.0))
+        *_, ctx.f0_stage2 = train_and_predict(f0_cfg, ids, f0_features, targets, run_seed)
 
-    result = RunResult(run_seed=run_seed, stage1_mse=mse1, stage2_mse=mse2)
-    for variant in config.variants:
-        result.reports[variant] = run_ablation(variant, ctx, config.n_points)
+    result = RunResult(
+        run_seed=run_seed, stage1_mse=mean_mse(stage1, targets), stage2_mse=mean_mse(stage2, targets)
+    )
+    for variant in cfg.variants:
+        result.reports[variant] = run_ablation(variant, ctx)
 
-    if config.deep_spec is not None:
-        std_train, _ = standardize(
-            [features[i] for i in train_ids], pipeline.feature_stats
-        )
-        coarse = {
-            i: distreg.predict_stage1(pipeline.stage1, fm, config.t_d)
-            for i, fm in zip(train_ids, std_train)
-        }
-        fine = {
-            i: distreg.predict_stage2(pipeline.stage2, coarse[i], config.k, config.t_d)
-            for i in train_ids
-        }
-        counter = deepcount.train_counter(
-            replace(config.deep_spec, seed=run_seed),
-            [fine[i] for i in train_ids],
-            [anns_by_id[i].n_vehicles for i in train_ids],
+    if cfg.deep is not None:
+        counter = train_deep_counter(
+            cfg.deep, pipeline, features, anns_by_id, split.train_ids, run_seed
         )
         n_true = sum(anns_by_id[i].n_vehicles for i in eval_ids)
         n_est = sum(deepcount.predict_count(counter, stage2[i]) for i in eval_ids)
@@ -273,25 +237,25 @@ def single_run(config: ExperimentConfig, dataset, run_seed: int) -> RunResult:
     return result
 
 
-def multi_run(config: ExperimentConfig, n_runs: int):
-    """Seeded repeats base_seed..base_seed+n_runs-1 with per-threshold bands.
+def multi_run(cfg: "ToolConfig"):
+    """Seeded repeats seed..seed+n_runs-1 with per-threshold bands.
 
     Each run reshuffles initialization and batch order through its seed; the
     train/validation split stays fixed. Returns (results, failures, bands)
     where bands[variant] is a list of (t_det, mean, low, high) and failures
     holds (seed, message) for runs that diverged.
     """
-    dataset = prepare_dataset(config)
+    dataset = prepare_dataset(cfg)
     results, failures = [], []
-    for r in range(n_runs):
-        seed = config.base_seed + r
+    for r in range(cfg.n_runs):
+        seed = cfg.seed + r
         try:
-            results.append(single_run(config, dataset, seed))
+            results.append(single_run(cfg, dataset, seed))
         except NumericError as exc:
             failures.append((seed, str(exc)))
     bands = {}
     if len(results) >= 2:
-        for variant in config.variants:
+        for variant in cfg.variants:
             rows = []
             grid = results[0].reports[variant].rvce_by_tdet
             for j, (t_det, _) in enumerate(grid):

@@ -8,11 +8,11 @@ the spectra at q=5 surrounding instants with a stride of 2, giving
 (2q+1) * n_mel = 528 dimensions.
 """
 
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import nn_core
 from .dataio import AudioClip, DataError
 
 DEFAULT_Q = 5
@@ -215,35 +215,43 @@ def standardize(features, stats: FeatureStats | None = None):
 
 # --- feature cache files ----------------------------------------------------
 
-_CACHE_MAGIC = b"AVCF1\x00"
+
+def _cache_settings(clip_id: str, cfg: SpectrogramConfig, q: int, stride: int) -> dict:
+    settings = {f"spectrogram.{k}": v for k, v in asdict(cfg).items()}
+    settings.update(clip_id=clip_id, q=q, stride=stride)
+    return settings
 
 
-def write_feature_cache(path, fm: FeatureMatrix):
-    """Binary per-clip record: id, frames, dim, frame_period, row-major f64 LE."""
-    cid = fm.clip_id.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", len(cid)))
-        fh.write(cid)
-        fh.write(struct.pack("<IId", fm.frames, fm.dim, fm.frame_period))
-        fh.write(np.ascontiguousarray(fm.data, dtype="<f8").tobytes())
+def write_feature_cache(path, fm: FeatureMatrix, cfg: SpectrogramConfig, q: int, stride: int):
+    """One clip's features as an ``AVCNN1`` container of kind ``features``.
+
+    The spec records the clip id, frame period and the settings the
+    features were extracted with, so a reader can refuse a stale cache.
+    """
+    spec = _cache_settings(fm.clip_id, cfg, q, stride)
+    spec["frame_period"] = fm.frame_period
+    nn_core.write_checkpoint(path, "features", spec, [("data", fm.data)])
 
 
-def read_feature_cache(path) -> FeatureMatrix:
+def read_feature_cache(path, clip_id: str, cfg: SpectrogramConfig, q: int, stride: int) -> FeatureMatrix:
+    """Load a cache written for ``clip_id`` under the given settings.
+
+    A cache of another kind, for another clip or built with any other
+    spectrogram, q or stride setting raises DataError naming the mismatch.
+    """
+    kind, spec, blocks = nn_core.read_checkpoint(path)
+    if kind != "features" or not isinstance(spec, dict):
+        raise DataError(f"{path}: not a feature cache file")
+    want = _cache_settings(clip_id, cfg, q, stride)
+    stale = [k for k in want if spec.get(k) != want[k]]
+    if stale:
+        raise DataError(
+            f"{path}: feature cache built with other settings: "
+            + ", ".join(f"{k} {spec.get(k)!r} (config {want[k]!r})" for k in stale)
+        )
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_CACHE_MAGIC))
-            if magic != _CACHE_MAGIC:
-                raise DataError(f"{path}: not a feature cache file")
-            (id_len,) = struct.unpack("<I", fh.read(4))
-            cid = fh.read(id_len).decode("utf-8")
-            frames, dim, frame_period = struct.unpack("<IId", fh.read(16))
-            raw = fh.read(frames * dim * 8)
-            if len(raw) != frames * dim * 8:
-                raise DataError(f"{path}: truncated feature cache")
-            data = np.frombuffer(raw, dtype="<f8").reshape(frames, dim)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except struct.error as exc:
-        raise DataError(f"{path}: truncated feature cache") from exc
-    return FeatureMatrix(clip_id=cid, data=data, frame_period=frame_period)
+        return FeatureMatrix(
+            clip_id=clip_id, data=dict(blocks)["data"], frame_period=spec["frame_period"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: corrupt feature cache ({exc})") from exc

@@ -333,11 +333,9 @@ def read_checkpoint(path):
                 raise DataError(f"{path}: truncated block {name!r}")
             blocks.append((name, np.frombuffer(raw, dtype="<f8").reshape(shape)))
             pos += count * 8
-    except (struct.error, ValueError, json.JSONDecodeError) as exc:
-        if isinstance(exc, DataError):
-            raise
-        raise DataError(f"{path}: corrupt checkpoint ({exc})") from exc
-    return header["kind"], header["spec"], blocks
+        return header["kind"], header["spec"], blocks
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint ({exc!r})") from exc
 
 
 def save_model(model: TrainedModel, path):

@@ -19,7 +19,7 @@ from numeric_checks import fd_mismatch
 
 from avcount import deepcount, distreg, experiments, metrics, nn_core, peakdet
 from avcount.dataio import PassByAnnotation, load_corpus, reference_distance, split_dataset
-from avcount.features import SpectrogramConfig, extract_features, standardize
+from avcount.features import SpectrogramConfig, extract_features
 from avcount.synthgen import SceneSpec, generate_corpus
 
 T_D = 0.75
@@ -94,17 +94,11 @@ def _train_run(corpus, seed, cache_key):
         s1,
         s2,
     )
-    std_all, _ = standardize(
-        [corpus["features"][i] for i in ids], pipeline.feature_stats
-    )
-    coarse, fine = {}, {}
-    for i, fm in zip(ids, std_all):
-        coarse[i] = distreg.predict_stage1(pipeline.stage1, fm)
-        fine[i] = distreg.predict_stage2(pipeline.stage2, coarse[i])
+    coarse, fine = distreg.cascade(pipeline, [corpus["features"][i] for i in ids])
     run = {
         "pipeline": pipeline,
-        "coarse": coarse,
-        "fine": fine,
+        "coarse": dict(zip(ids, coarse)),
+        "fine": dict(zip(ids, fine)),
         "train_ids": list(split.train_ids),
         "val_ids": list(split.val_ids),
     }
@@ -417,17 +411,10 @@ def test_a8_vcprg_protocol():
         distreg.stage1_spec(epochs=100, seed=0),
         distreg.stage2_spec(epochs=100, seed=1),
     )
-    std_test, _ = standardize(
-        [test["features"][i] for i in test["ids"]], pipeline.feature_stats
-    )
-    fine = {}
-    mses = []
-    for i, fm in zip(test["ids"], std_test):
-        coarse = distreg.predict_stage1(pipeline.stage1, fm)
-        fine[i] = distreg.predict_stage2(pipeline.stage2, coarse)
-        mses.append(np.mean((fine[i].values - test["targets"][i].values) ** 2))
+    _, fine = distreg.cascade(pipeline, [test["features"][i] for i in test["ids"]])
+    fine = dict(zip(test["ids"], fine))
     report = _count_report(test, fine, experiments.TUNED_DETECTORS["VCNN"])
-    mse = float(np.mean(mses))
+    mse = experiments.mean_mse(fine, test["targets"])
     assert report.area_ptp >= 0.80
     assert report.efp_value is not None and report.efp_value <= 0.03
     assert mse <= 4e-3

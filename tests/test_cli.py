@@ -62,6 +62,8 @@ class TestConfig:
             parse_config({"spectrogram": {"hop_len": 10}})
         with pytest.raises(DataError):
             parse_config({"detector": {"m": 0.3}})
+        with pytest.raises(DataError):  # read by no command
+            parse_config({"paths": {"model_dir": "model"}})
 
     def test_invalid_value_rejected(self):
         with pytest.raises(DataError):
@@ -71,6 +73,13 @@ class TestConfig:
         cfg = parse_config({"detector": {"smoother": [7, 3], "m_frac": 0.45}})
         assert cfg.detector.smoother.lengths == (7, 3)
         assert cfg.detector.m_frac == 0.45
+
+    def test_stage_sections_override_specs(self):
+        cfg = parse_config({"epochs": 9, "stage1": {"loss": "l1", "l2_factor": 0.0}, "stage2": {"epochs": 2}})
+        s1, s2 = cfg.stage_specs(4)
+        assert (s1.loss, s1.l2_factor, s1.epochs, s1.seed) == ("l1", 0.0, 9, 4)
+        assert (s2.loss, s2.l2_factor, s2.epochs, s2.seed) == ("mse", 5e-6, 2, 5)
+        assert s1.layer_sizes[0] == 528
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("AVC_SEED", "99")
@@ -156,9 +165,9 @@ class TestPipelineCommands:
         files = sorted(os.listdir(out))
         assert len(files) == 6
         assert all(f.endswith(".avcf") for f in files)
-        from avcount.features import read_feature_cache
+        from avcount.features import SpectrogramConfig, read_feature_cache
 
-        fm = read_feature_cache(out / files[0])
+        fm = read_feature_cache(out / files[0], files[0][: -len(".avcf")], SpectrogramConfig(), 5, 2)
         assert fm.dim == 528 and fm.frames == 540
 
     def test_train_writes_bundle(self, model_dir):
@@ -174,6 +183,20 @@ class TestPipelineCommands:
         main(["train", "--config", fast_config, "--data", corpus_dir, "--out", str(cached), "--cache", str(cache), "--jobs", "1"])
         for name in ("stage1.ckpt", "stage2.ckpt", "stats.bin", "pipeline.json"):
             assert (direct / name).read_bytes() == (cached / name).read_bytes()
+
+    def test_train_rejects_cache_built_with_other_settings(self, fast_config, corpus_dir, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["extract", "--audio", corpus_dir, "--out", str(cache), "--jobs", "1"]) == 0
+        cfg = json.loads(open(fast_config).read())
+        cfg["spectrogram"] = {"f_min": 0}
+        cfg_path = tmp_path / "f0.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["train", "--config", str(cfg_path), "--data", corpus_dir, "--out", str(tmp_path / "m"), "--cache", str(cache), "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error") and "spectrogram.f_min" in err[0]
+        assert not (tmp_path / "m").exists()
 
     def test_predict_row_count(self, model_dir, corpus_dir, tmp_path):
         out = tmp_path / "pred.csv"
@@ -211,6 +234,15 @@ class TestPipelineCommands:
         curve = (out / "VCNN_curve.csv").read_text().strip().splitlines()
         assert len(curve) == 101
 
+    def test_eval_honours_detector_section(self, model_dir, corpus_dir, tmp_path):
+        default, custom = tmp_path / "default", tmp_path / "custom"
+        cfg_path = tmp_path / "det.json"
+        cfg_path.write_text(json.dumps({"variants": ["VCNN"], "detector": {"m_frac": 1.0, "p_frac": 1.0}}))
+        assert main(["eval", "--model", model_dir, "--data", corpus_dir, "--out", str(default), "--jobs", "1"]) == 0
+        assert main(["eval", "--model", model_dir, "--data", corpus_dir, "--out", str(custom), "--config", str(cfg_path), "--jobs", "1"]) == 0
+        name = "VCNN_curve.csv"
+        assert (default / name).read_bytes() != (custom / name).read_bytes()
+
     def test_gridsearch_emits_table(self, fast_config, corpus_dir, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         # tiny grid via a dedicated config to keep runtime down
@@ -247,6 +279,19 @@ class TestPipelineCommands:
         summary = (out_dir / "summary.csv").read_text().strip().splitlines()
         assert summary[0] == "run_seed,stage1_mse,stage2_mse,VCNN_area_ptp,VCNN_efp"
         assert len(summary) == 3
+
+    def test_experiment_honours_stage_sections(self, corpus_dir, tmp_path):
+        def stage1_mse(name, extra):
+            out_dir = tmp_path / name
+            cfg = {"seed": 3, "epochs": 3, "n_runs": 1, "variants": ["VCNN"],
+                   "paths": {"data_dir": corpus_dir, "out_dir": str(out_dir)}, **extra}
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["experiment", "--config", str(cfg_path)]) == 0
+            summary = (out_dir / "summary.csv").read_text().strip().splitlines()
+            return summary[1].split(",")[1]
+
+        assert stage1_mse("default", {}) != stage1_mse("short", {"stage1": {"epochs": 1}})
 
     def test_experiment_requires_paths(self, tmp_path):
         cfg_path = tmp_path / "c.json"

@@ -5,8 +5,8 @@ from avcount import nn_core
 from avcount.dataio import AudioClip, DistanceSeries, PassByAnnotation, reference_distance
 from avcount.distreg import (
     RegressionPipeline,
+    cascade,
     load_pipeline,
-    predict_coarse,
     predict_distance,
     predict_stage1,
     predict_stage2,
@@ -203,9 +203,21 @@ class TestPipeline:
 
     def test_frame_conservation(self, tiny_trained):
         pipeline, clips, features, _ = tiny_trained
-        coarse = predict_coarse(pipeline, clips[6])
+        (coarse,), _ = cascade(pipeline, [features[6]])
         fine = predict_distance(pipeline, clips[6])
         assert coarse.n_frames == fine.n_frames == features[6].frames
+
+    def test_cascade_equals_per_clip_stage_loop(self, tiny_trained):
+        pipeline, _, features, _ = tiny_trained
+        coarse, fine = cascade(pipeline, features[5:])
+        std, _ = standardize(features[5:], pipeline.feature_stats)
+        assert len(coarse) == len(fine) == 3
+        for fm_std, c, f in zip(std, coarse, fine):
+            want_c = predict_stage1(pipeline.stage1, fm_std, pipeline.t_d)
+            want_f = predict_stage2(pipeline.stage2, want_c, pipeline.k, pipeline.t_d)
+            assert np.array_equal(c.values, want_c.values)
+            assert np.array_equal(f.values, want_f.values)
+            assert (c.clip_id, f.clip_id) == (fm_std.clip_id, fm_std.clip_id)
 
     def test_bundle_round_trip(self, tiny_trained, tmp_path):
         pipeline, clips, _, _ = tiny_trained

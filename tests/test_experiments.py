@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from avcount.config import ToolConfig
 from avcount.dataio import DistanceSeries, PassByAnnotation
 from avcount.experiments import (
     PP_PROMINENCE_FRACTIONS,
     TUNED_DETECTORS,
     EvalContext,
-    ExperimentConfig,
     GridSpec,
     grid_search,
     multi_run,
@@ -15,7 +17,7 @@ from avcount.experiments import (
     run_ablation,
     single_run,
 )
-from avcount.features import SpectrogramConfig
+from avcount.peakdet import DetectorSpec
 from avcount.synthgen import SceneSpec, generate_corpus
 
 T_D = 0.75
@@ -38,6 +40,11 @@ class TestTable1:
         det = TUNED_DETECTORS["VCNN"]
         assert det.smoother.lengths == (5, 3)
         assert det.m_frac == 0.40 and det.p_frac == 0.20
+
+    def test_vcnn_is_the_detector_default(self):
+        # a config without a detector section evaluates VCNN as tuned
+        assert DetectorSpec() == TUNED_DETECTORS["VCNN"]
+        assert EvalContext(annotations={}, stage2={}).detector == TUNED_DETECTORS["VCNN"]
 
     def test_vcnn_s1_parameters(self):
         det = TUNED_DETECTORS["VCNN_S1"]
@@ -175,18 +182,18 @@ def tiny_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def tiny_config(tiny_corpus):
-    return ExperimentConfig(
-        corpus_dir=tiny_corpus,
-        spectrogram=SpectrogramConfig(),
+    return ToolConfig(
+        paths={"data_dir": tiny_corpus},
         epochs=8,
-        base_seed=0,
+        seed=0,
+        n_runs=2,
         variants=("VCNN", "VCNN_S1"),
     )
 
 
 class TestMultiRun:
     def test_two_runs_produce_bands(self, tiny_config):
-        results, failures, bands = multi_run(tiny_config, 2)
+        results, failures, bands = multi_run(tiny_config)
         assert len(results) == 2 and not failures
         assert set(bands) == {"VCNN", "VCNN_S1"}
         rows = bands["VCNN"]
@@ -195,9 +202,9 @@ class TestMultiRun:
             assert lo <= mean <= hi
 
     def test_single_run_equals_direct_evaluation(self, tiny_config):
-        results, _, bands = multi_run(tiny_config, 1)
+        results, _, bands = multi_run(replace(tiny_config, n_runs=1))
         dataset = prepare_dataset(tiny_config)
-        direct = single_run(tiny_config, dataset, tiny_config.base_seed)
+        direct = single_run(tiny_config, dataset, tiny_config.seed)
         assert results[0].reports["VCNN"] == direct.reports["VCNN"]
         assert results[0].stage1_mse == direct.stage1_mse
         assert bands == {}  # bands need at least two runs
@@ -210,20 +217,21 @@ class TestMultiRun:
         assert a.stage2_mse == b.stage2_mse
 
     def test_run_seeds_are_consecutive(self, tiny_config):
-        results, _, _ = multi_run(tiny_config, 2)
+        results, _, _ = multi_run(tiny_config)
         assert [r.run_seed for r in results] == [0, 1]
 
     def test_deep_counter_branch(self, tiny_corpus):
         from avcount.deepcount import ConvCounterSpec
 
-        config = ExperimentConfig(
-            corpus_dir=tiny_corpus,
+        config = ToolConfig(
+            paths={"data_dir": tiny_corpus},
             epochs=5,
-            base_seed=0,
+            seed=0,
+            n_runs=1,
             variants=("VCNN",),
-            deep_spec=ConvCounterSpec(conv_layers=((4, 5, 2),), epochs=5),
+            deep=ConvCounterSpec(conv_layers=((4, 5, 2),), epochs=5),
         )
-        results, failures, _ = multi_run(config, 1)
+        results, failures, _ = multi_run(config)
         assert not failures
         assert results[0].deep_rvce is not None
         assert np.isfinite(results[0].deep_rvce)

@@ -244,11 +244,30 @@ def test_feature_cache_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     fm = FeatureMatrix(clip_id="clip x", data=rng.normal(size=(17, 5)), frame_period=0.037)
     path = tmp_path / "c.avcf"
-    write_feature_cache(path, fm)
-    back = read_feature_cache(path)
+    write_feature_cache(path, fm, CFG, 5, 2)
+    back = read_feature_cache(path, "clip x", CFG, 5, 2)
     assert back.clip_id == fm.clip_id
     assert back.frame_period == fm.frame_period
     assert np.array_equal(back.data, fm.data)
+
+
+@pytest.mark.parametrize(
+    "clip_id,cfg,q,stride,setting",
+    [
+        ("other", CFG, 5, 2, "clip_id"),
+        ("clip x", SpectrogramConfig(f_min=0.0), 5, 2, "spectrogram.f_min"),
+        ("clip x", CFG, 4, 2, "q"),
+        ("clip x", CFG, 5, 3, "stride"),
+    ],
+)
+def test_feature_cache_rejects_other_settings(tmp_path, clip_id, cfg, q, stride, setting):
+    from avcount.dataio import DataError
+
+    fm = FeatureMatrix(clip_id="clip x", data=np.ones((3, 5)), frame_period=0.037)
+    path = tmp_path / "c.avcf"
+    write_feature_cache(path, fm, CFG, 5, 2)
+    with pytest.raises(DataError, match=setting):
+        read_feature_cache(path, clip_id, cfg, q, stride)
 
 
 def test_feature_cache_rejects_garbage(tmp_path):
@@ -257,4 +276,9 @@ def test_feature_cache_rejects_garbage(tmp_path):
     from avcount.dataio import DataError
 
     with pytest.raises(DataError):
-        read_feature_cache(path)
+        read_feature_cache(path, "bad", CFG, 5, 2)
+    from avcount.nn_core import write_checkpoint
+
+    write_checkpoint(path, "feature_stats", {}, [("mean", np.zeros(5))])
+    with pytest.raises(DataError, match="not a feature cache"):
+        read_feature_cache(path, "bad", CFG, 5, 2)

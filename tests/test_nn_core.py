@@ -297,6 +297,15 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_model(path)
 
+    @pytest.mark.parametrize("header", [b"{}", b'{"kind": "dense"}', b"[1]", b'"x"'])
+    def test_header_without_kind_and_spec_rejected(self, tmp_path, header):
+        import struct
+
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"AVCNN1" + struct.pack("<I", len(header)) + header + struct.pack("<I", 0))
+        with pytest.raises(DataError):
+            load_model(path)
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
