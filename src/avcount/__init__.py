@@ -45,7 +45,6 @@ from .peakdet import (
     SmootherSpec,
     count_at_threshold,
     detect_vehicles,
-    find_peaks,
     moving_average_cascade,
     prominence,
 )

@@ -63,7 +63,7 @@ def _prepare_corpus(cfg: ToolConfig, data_dir, jobs, cache_dir=None):
         if cache_dir is not None:
             path = os.path.join(cache_dir, clip.id + ".avcf")
             if os.path.exists(path):
-                return read_feature_cache(path, clip.id, cfg.spectrogram, cfg.q, cfg.stride)
+                return read_feature_cache(path, clip, cfg.spectrogram, cfg.q, cfg.stride)
         return extract_features(clip, cfg.spectrogram, cfg.q, cfg.stride)
 
     feats = _parallel_map(one, clips, jobs)
@@ -93,7 +93,7 @@ def cmd_extract(args):
         clip = load_clip(path)
         fm = extract_features(clip, cfg.spectrogram, cfg.q, cfg.stride)
         write_feature_cache(
-            os.path.join(args.out, clip.id + ".avcf"), fm, cfg.spectrogram, cfg.q, cfg.stride
+            os.path.join(args.out, clip.id + ".avcf"), clip, fm, cfg.spectrogram, cfg.q, cfg.stride
         )
         return clip.id
 

@@ -197,6 +197,8 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
         x = x.reshape(-1, n_channels).mean(axis=1)
         if x.size == 0:
             raise DataError("zero-length audio")
+    if not np.all(np.isfinite(x)):
+        raise DataError("audio holds non-finite samples (NaN or infinity)")
     if clip_id is None:
         clip_id = os.path.splitext(os.path.basename(str(path)))[0]
     return AudioClip(samples=x, sample_rate=sample_rate, id=clip_id)

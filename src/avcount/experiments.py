@@ -50,12 +50,6 @@ class GridSpec:
             raise ValueError("grid axes must be nonempty")
 
 
-def _mean_abs_rvce(report: MetricsReport, t_d, lo_frac, hi_frac) -> float:
-    lo, hi = lo_frac * t_d - 1e-12, hi_frac * t_d + 1e-12
-    vals = [abs(r) for t, r in report.rvce_by_tdet if lo <= t <= hi]
-    return float(np.mean(vals))
-
-
 def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
     """Exhaustive (smoother, M, P) search minimizing mean |RVCE|.
 
@@ -68,6 +62,7 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
     if not predictions:
         raise ValueError("empty tuning set")
     intervals = [metrics.build_intervals(a, t_d) for a in annotations]
+    lo, hi = grid.objective_lo * t_d - 1e-12, grid.objective_hi * t_d + 1e-12
     table = []
     best = None
     for lengths in grid.smoothers:
@@ -80,8 +75,10 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
                     (iv, [p for p in cands if p.magnitude > m_th or p.prominence > p_th])
                     for iv, cands in zip(intervals, candidates)
                 ]
-                report = compute_curve(per_clip, t_d)
-                score = _mean_abs_rvce(report, t_d, grid.objective_lo, grid.objective_hi)
+                thresholds, tp, below, n_true = metrics.pooled_counts(per_clip, t_d)
+                rvce = (n_true - (tp + (below - tp))) / n_true * 100.0
+                in_range = (lo <= thresholds) & (thresholds <= hi)
+                score = float(np.mean(np.abs(rvce[in_range])))
                 table.append(
                     {
                         "smoother": tuple(lengths),

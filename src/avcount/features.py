@@ -8,6 +8,7 @@ the spectra at q=5 surrounding instants with a stride of 2, giving
 (2q+1) * n_mel = 528 dimensions.
 """
 
+import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -216,42 +217,52 @@ def standardize(features, stats: FeatureStats | None = None):
 # --- feature cache files ----------------------------------------------------
 
 
-def _cache_settings(clip_id: str, cfg: SpectrogramConfig, q: int, stride: int) -> dict:
+def _cache_settings(clip: AudioClip, cfg: SpectrogramConfig, q: int, stride: int) -> dict:
     settings = {f"spectrogram.{k}": v for k, v in asdict(cfg).items()}
-    settings.update(clip_id=clip_id, q=q, stride=stride)
+    settings.update(
+        clip_id=clip.id,
+        n_samples=int(clip.samples.size),
+        samples_sha256=hashlib.sha256(clip.samples.tobytes()).hexdigest(),
+        q=q,
+        stride=stride,
+    )
     return settings
 
 
-def write_feature_cache(path, fm: FeatureMatrix, cfg: SpectrogramConfig, q: int, stride: int):
-    """One clip's features as an ``AVCNN1`` container of kind ``features``.
+def write_feature_cache(
+    path, clip: AudioClip, fm: FeatureMatrix, cfg: SpectrogramConfig, q: int, stride: int
+):
+    """Features ``fm`` of ``clip`` as an ``AVCNN1`` container of kind ``features``.
 
-    The spec records the clip id, frame period and the settings the
-    features were extracted with, so a reader can refuse a stale cache.
+    The spec records the clip id, its sample count and a SHA-256 of its
+    samples, the frame period and the settings the features were extracted
+    with, so a reader can refuse a stale cache.
     """
-    spec = _cache_settings(fm.clip_id, cfg, q, stride)
+    spec = _cache_settings(clip, cfg, q, stride)
     spec["frame_period"] = fm.frame_period
     nn_core.write_checkpoint(path, "features", spec, [("data", fm.data)])
 
 
-def read_feature_cache(path, clip_id: str, cfg: SpectrogramConfig, q: int, stride: int) -> FeatureMatrix:
-    """Load a cache written for ``clip_id`` under the given settings.
+def read_feature_cache(path, clip: AudioClip, cfg: SpectrogramConfig, q: int, stride: int) -> FeatureMatrix:
+    """Load a cache written for ``clip`` under the given settings.
 
-    A cache of another kind, for another clip or built with any other
-    spectrogram, q or stride setting raises DataError naming the mismatch.
+    A cache of another kind, for another clip id, for other audio under the
+    same id, or built with any other spectrogram, q or stride setting raises
+    DataError naming the mismatch.
     """
     kind, spec, blocks = nn_core.read_checkpoint(path)
     if kind != "features" or not isinstance(spec, dict):
         raise DataError(f"{path}: not a feature cache file")
-    want = _cache_settings(clip_id, cfg, q, stride)
+    want = _cache_settings(clip, cfg, q, stride)
     stale = [k for k in want if spec.get(k) != want[k]]
     if stale:
         raise DataError(
-            f"{path}: feature cache built with other settings: "
-            + ", ".join(f"{k} {spec.get(k)!r} (config {want[k]!r})" for k in stale)
+            f"{path}: feature cache built from other audio or settings: "
+            + ", ".join(f"{k} {spec.get(k)!r} (expected {want[k]!r})" for k in stale)
         )
     try:
         return FeatureMatrix(
-            clip_id=clip_id, data=dict(blocks)["data"], frame_period=spec["frame_period"]
+            clip_id=clip.id, data=dict(blocks)["data"], frame_period=spec["frame_period"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: corrupt feature cache ({exc})") from exc

@@ -70,19 +70,21 @@ def build_intervals(ann: PassByAnnotation, t_d: float) -> list:
 def _interval_minima(intervals, detections):
     """Per interval, the smallest detection distance inside it (inf if none).
 
-    Also returns every detection's distance value. Detections are matched to
-    the first interval containing their time; intervals partition, so there
-    is at most one.
+    Also returns every detection's distance value. Each detection is matched
+    to the first interval containing its time. The intervals must be sorted
+    and disjoint apart from shared endpoints, as build_intervals makes them:
+    the first interval ending at or after a time is then the only candidate,
+    and at a shared endpoint it is the earlier of the two.
     """
-    dets = sorted(detections, key=lambda p: p.time)
-    best = np.full(len(intervals), np.inf)
-    values = np.array([p.distance for p in dets], dtype=np.float64)
-    for j, p in enumerate(dets):
-        for k, iv in enumerate(intervals):
-            if iv.start <= p.time <= iv.end:
-                if values[j] < best[k]:
-                    best[k] = values[j]
-                break
+    times = np.array([p.time for p in detections], dtype=np.float64)
+    values = np.array([p.distance for p in detections], dtype=np.float64)
+    starts = np.array([iv.start for iv in intervals], dtype=np.float64)
+    ends = np.array([iv.end for iv in intervals], dtype=np.float64)
+    k = np.searchsorted(ends, times, side="left")
+    hit = k < ends.size
+    hit[hit] = starts[k[hit]] <= times[hit]
+    best = np.full(ends.size, np.inf)
+    np.minimum.at(best, k[hit], values[hit])
     return best, values
 
 
@@ -94,12 +96,13 @@ def classify_detections(intervals, detections, t_det: float):
     return tp, below - tp, len(intervals) - tp
 
 
-def compute_curve(per_clip, t_d: float, n_points: int = 100) -> MetricsReport:
-    """Pooled pTP/pFP/pFN over equidistant thresholds in [0, t_d].
+def pooled_counts(per_clip, t_d: float, n_points: int = 100):
+    """Counts pooled over clips at equidistant thresholds in [0, t_d].
 
-    ``per_clip`` holds (intervals, detections) pairs. The EFP point is the
-    pFP/pFN crossing located by linear interpolation on the grid; with no
-    crossing it is reported as absent.
+    ``per_clip`` holds (intervals, detections) pairs. Returns (thresholds,
+    tp, below, n_true): per threshold, the intervals whose best detection
+    lies below it and the detections below it (as float arrays), plus the
+    number of true vehicles. FPs are ``below - tp``.
     """
     all_best = []
     all_values = []
@@ -111,12 +114,23 @@ def compute_curve(per_clip, t_d: float, n_points: int = 100) -> MetricsReport:
         all_values.append(values)
     if n_true == 0:
         raise ValueError("no true vehicles in the evaluation set")
-    best = np.sort(np.concatenate(all_best)) if all_best else np.array([])
-    values = np.sort(np.concatenate(all_values)) if all_values else np.array([])
+    best = np.sort(np.concatenate(all_best))
+    values = np.sort(np.concatenate(all_values))
 
     thresholds = np.linspace(0.0, t_d, n_points)
     tp = np.searchsorted(best, thresholds, side="left").astype(np.float64)
     below = np.searchsorted(values, thresholds, side="left").astype(np.float64)
+    return thresholds, tp, below, n_true
+
+
+def compute_curve(per_clip, t_d: float, n_points: int = 100) -> MetricsReport:
+    """Pooled pTP/pFP/pFN over equidistant thresholds in [0, t_d].
+
+    ``per_clip`` holds (intervals, detections) pairs. The EFP point is the
+    pFP/pFN crossing located by linear interpolation on the grid; with no
+    crossing it is reported as absent.
+    """
+    thresholds, tp, below, n_true = pooled_counts(per_clip, t_d, n_points)
     p_tp = tp / n_true
     p_fp = (below - tp) / n_true
     p_fn = 1.0 - p_tp

@@ -11,13 +11,16 @@ minima from the peak height.
 
 Plateaus of equal values bounded by strictly smaller neighbors yield one
 peak at the plateau middle (left-middle for even lengths); sequence
-endpoints are never peaks.
+endpoints are never peaks. ``scipy.signal.find_peaks`` and
+``peak_prominences`` follow exactly these rules; the tests check them
+against a brute-force contour oracle.
 """
 
 import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import signal as _signal
 
 from .dataio import DistanceSeries
 
@@ -95,26 +98,7 @@ def moving_average_cascade(series, spec: SmootherSpec):
 
 def peak_indices(values) -> np.ndarray:
     """Indices of local maxima under the plateau-middle rule."""
-    v = np.asarray(values, dtype=np.float64)
-    d = np.diff(v)
-    steps = np.flatnonzero(d != 0)
-    if steps.size == 0:
-        return np.array([], dtype=int)
-    signs = np.sign(d[steps])
-    rising_to_falling = np.flatnonzero((signs[:-1] > 0) & (signs[1:] < 0))
-    left = steps[rising_to_falling] + 1  # first sample of the plateau
-    right = steps[rising_to_falling + 1]  # last sample of the plateau
-    return (left + right) // 2
-
-
-def find_peaks(values) -> list:
-    """Peaks with index and height filled; time and prominence left unset."""
-    v = np.asarray(values, dtype=np.float64)
-    return [
-        Peak(frame_index=int(i), time=float("nan"), magnitude=float(v[i]),
-             prominence=float("nan"))
-        for i in peak_indices(v)
-    ]
+    return _signal.find_peaks(np.asarray(values, dtype=np.float64))[0]
 
 
 def prominence(values, peak_index: int) -> float:
@@ -122,25 +106,7 @@ def prominence(values, peak_index: int) -> float:
     v = np.asarray(values, dtype=np.float64)
     if not np.any(peak_indices(v) == peak_index):
         raise ValueError(f"index {peak_index} is not a peak")
-    return _prominence_at(v, int(peak_index))
-
-
-def _prominence_at(v: np.ndarray, i: int) -> float:
-    h = v[i]
-    left_min = h
-    j = i - 1
-    while j >= 0 and v[j] <= h:
-        if v[j] < left_min:
-            left_min = v[j]
-        j -= 1
-    right_min = h
-    j = i + 1
-    n = v.size
-    while j < n and v[j] <= h:
-        if v[j] < right_min:
-            right_min = v[j]
-        j += 1
-    return float(h - max(left_min, right_min))
+    return float(_signal.peak_prominences(v, [int(peak_index)])[0][0])
 
 
 def peak_candidates(series: DistanceSeries, smoother: SmootherSpec) -> list:
@@ -151,19 +117,14 @@ def peak_candidates(series: DistanceSeries, smoother: SmootherSpec) -> list:
     """
     smoothed = moving_average_cascade(series.values, smoother)
     inverted = series.t_d - smoothed
-    out = []
-    for i in peak_indices(inverted):
-        i = int(i)
-        out.append(
-            Peak(
-                frame_index=i,
-                time=i * series.frame_period,
-                magnitude=float(inverted[i]),
-                prominence=_prominence_at(inverted, i),
-                distance=float(smoothed[i]),
-            )
+    idx = peak_indices(inverted)
+    prom = _signal.peak_prominences(inverted, idx)[0]
+    return [
+        Peak(frame_index=i, time=i * series.frame_period, magnitude=m, prominence=p, distance=d)
+        for i, m, p, d in zip(
+            idx.tolist(), inverted[idx].tolist(), prom.tolist(), smoothed[idx].tolist()
         )
-    return out
+    ]
 
 
 def detect_vehicles(series: DistanceSeries, det: DetectorSpec) -> list:

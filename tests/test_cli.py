@@ -165,9 +165,11 @@ class TestPipelineCommands:
         files = sorted(os.listdir(out))
         assert len(files) == 6
         assert all(f.endswith(".avcf") for f in files)
+        from avcount.dataio import load_clip
         from avcount.features import SpectrogramConfig, read_feature_cache
 
-        fm = read_feature_cache(out / files[0], files[0][: -len(".avcf")], SpectrogramConfig(), 5, 2)
+        clip = load_clip(os.path.join(corpus_dir, files[0][: -len(".avcf")] + ".wav"))
+        fm = read_feature_cache(out / files[0], clip, SpectrogramConfig(), 5, 2)
         assert fm.dim == 528 and fm.frames == 540
 
     def test_train_writes_bundle(self, model_dir):
@@ -196,6 +198,23 @@ class TestPipelineCommands:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error") and "spectrogram.f_min" in err[0]
+        assert not (tmp_path / "m").exists()
+
+    def test_train_rejects_cache_of_other_audio_with_same_ids(self, fast_config, corpus_dir, tmp_path, capsys):
+        cfg = json.loads(open(fast_config).read())
+        cfg["seed"] += 1
+        cfg_path = tmp_path / "other_seed.json"
+        cfg_path.write_text(json.dumps(cfg))
+        other = tmp_path / "other"
+        assert main(["synth", "--spec", str(cfg_path), "--out", str(other)]) == 0
+        assert sorted(os.listdir(other)) == sorted(os.listdir(corpus_dir))
+        cache = tmp_path / "cache"
+        assert main(["extract", "--config", fast_config, "--audio", corpus_dir, "--out", str(cache), "--jobs", "1"]) == 0
+        capsys.readouterr()
+        code = main(["train", "--config", fast_config, "--data", str(other), "--out", str(tmp_path / "m"), "--cache", str(cache), "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error") and "samples_sha256" in err[0]
         assert not (tmp_path / "m").exists()
 
     def test_predict_row_count(self, model_dir, corpus_dir, tmp_path):

@@ -75,6 +75,13 @@ class TestLoadClip:
         clip = load_clip(path)
         assert np.array_equal(clip.samples, x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_sample_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.wav"
+        save_wav(path, [0.1, bad, -0.2], 44100, float32=True)
+        with pytest.raises(DataError, match="non-finite"):
+            load_clip(path)
+
     def test_loading_idempotent(self, tmp_path):
         path = tmp_path / "a.wav"
         save_wav(path, np.random.default_rng(1).uniform(-1, 1, 1000), 44100)

@@ -240,12 +240,16 @@ def test_extract_features_shape_contract():
     assert fm.frame_period == CFG.frame_period
 
 
+def cache_clip(clip_id="clip x", n=4000, seed=0):
+    return noise_clip(seed=seed, n=n, clip_id=clip_id)
+
+
 def test_feature_cache_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     fm = FeatureMatrix(clip_id="clip x", data=rng.normal(size=(17, 5)), frame_period=0.037)
     path = tmp_path / "c.avcf"
-    write_feature_cache(path, fm, CFG, 5, 2)
-    back = read_feature_cache(path, "clip x", CFG, 5, 2)
+    write_feature_cache(path, cache_clip(), fm, CFG, 5, 2)
+    back = read_feature_cache(path, cache_clip(), CFG, 5, 2)
     assert back.clip_id == fm.clip_id
     assert back.frame_period == fm.frame_period
     assert np.array_equal(back.data, fm.data)
@@ -265,9 +269,29 @@ def test_feature_cache_rejects_other_settings(tmp_path, clip_id, cfg, q, stride,
 
     fm = FeatureMatrix(clip_id="clip x", data=np.ones((3, 5)), frame_period=0.037)
     path = tmp_path / "c.avcf"
-    write_feature_cache(path, fm, CFG, 5, 2)
+    write_feature_cache(path, cache_clip(), fm, CFG, 5, 2)
     with pytest.raises(DataError, match=setting):
-        read_feature_cache(path, clip_id, cfg, q, stride)
+        read_feature_cache(path, cache_clip(clip_id), cfg, q, stride)
+
+
+@pytest.mark.parametrize(
+    "clip,settings",
+    [
+        (cache_clip(seed=1), ["samples_sha256"]),
+        (cache_clip(n=4001), ["n_samples", "samples_sha256"]),
+    ],
+    ids=["same length", "other length"],
+)
+def test_feature_cache_rejects_other_audio_under_same_id(tmp_path, clip, settings):
+    from avcount.dataio import DataError
+
+    fm = FeatureMatrix(clip_id="clip x", data=np.ones((3, 5)), frame_period=0.037)
+    path = tmp_path / "c.avcf"
+    write_feature_cache(path, cache_clip(), fm, CFG, 5, 2)
+    with pytest.raises(DataError) as exc:
+        read_feature_cache(path, clip, CFG, 5, 2)
+    named = [k for k in ("clip_id", "n_samples", "samples_sha256") if f"{k} " in str(exc.value)]
+    assert named == settings
 
 
 def test_feature_cache_rejects_garbage(tmp_path):
@@ -276,9 +300,9 @@ def test_feature_cache_rejects_garbage(tmp_path):
     from avcount.dataio import DataError
 
     with pytest.raises(DataError):
-        read_feature_cache(path, "bad", CFG, 5, 2)
+        read_feature_cache(path, cache_clip("bad"), CFG, 5, 2)
     from avcount.nn_core import write_checkpoint
 
     write_checkpoint(path, "feature_stats", {}, [("mean", np.zeros(5))])
     with pytest.raises(DataError, match="not a feature cache"):
-        read_feature_cache(path, "bad", CFG, 5, 2)
+        read_feature_cache(path, cache_clip("bad"), CFG, 5, 2)

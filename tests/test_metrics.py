@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcount.dataio import PassByAnnotation
 from avcount.metrics import (
     PassByInterval,
+    _interval_minima,
     build_intervals,
     classify_detections,
     compute_curve,
@@ -76,6 +79,52 @@ class TestClassifyDetections:
         fwd = classify_detections(ivs, dets, 0.6)
         rev = classify_detections(ivs, list(reversed(dets)), 0.6)
         assert fwd == rev == (2, 2, 0)
+
+
+def first_containing_minima(intervals, detections):
+    """Reference matcher: each detection goes to the first interval holding it."""
+    best = np.full(len(intervals), np.inf)
+    for p in detections:
+        for k, iv in enumerate(intervals):
+            if iv.start <= p.time <= iv.end:
+                best[k] = min(best[k], p.distance)
+                break
+    return best
+
+
+class TestIntervalMinima:
+    def test_shared_boundary_goes_to_earlier_interval(self):
+        ivs = build_intervals(PassByAnnotation("a", (5.0, 5.8), 20.0), T_D)
+        best, values = _interval_minima(ivs, [det(5.4, 0.1), det(5.41, 0.3)])
+        assert best.tolist() == [0.1, 0.3]
+        assert values.tolist() == [0.1, 0.3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        first=st.floats(0.0, 2.0),
+        gaps=st.lists(st.floats(0.01, 3.0), max_size=10),
+        tail=st.floats(0.0, 2.0),
+        t_d=st.floats(0.05, 2.0),
+        data=st.data(),
+    )
+    def test_equals_first_containing_interval(self, first, gaps, tail, t_d, data):
+        instants = tuple(np.cumsum([first, *gaps]).tolist())
+        ann = PassByAnnotation("a", instants, instants[-1] + tail + 0.01)
+        ivs = build_intervals(ann, t_d)
+        starts = [iv.start for iv in ivs]
+        ends = [iv.end for iv in ivs]
+        # every boundary (shared ones included), a point in each gap between
+        # intervals, and points before the first and after the last interval
+        times = starts + ends + [starts[0] - 0.5, ends[-1] + 0.5]
+        times += [0.5 * (a.end + b.start) for a, b in zip(ivs, ivs[1:]) if a.end < b.start]
+        times += data.draw(st.lists(st.floats(-1.0, ann.duration + 1.0), max_size=20))
+        distances = data.draw(
+            st.lists(st.floats(0.0, T_D), min_size=len(times), max_size=len(times))
+        )
+        dets = [det(t, d) for t, d in zip(times, distances)]
+        best, values = _interval_minima(ivs, data.draw(st.permutations(dets)))
+        assert np.array_equal(best, first_containing_minima(ivs, dets))
+        assert sorted(values.tolist()) == sorted(distances)
 
 
 class TestComputeCurve:

@@ -11,7 +11,6 @@ from avcount.peakdet import (
     count_at_threshold,
     detect_vehicles,
     export_detections_csv,
-    find_peaks,
     moving_average_cascade,
     peak_candidates,
     peak_indices,
@@ -142,10 +141,6 @@ class TestFindPeaks:
     def test_short_sequences(self):
         assert peak_indices([1.0, 2.0]).tolist() == []
         assert peak_indices([1.0]).tolist() == []
-
-    def test_find_peaks_fills_heights(self):
-        peaks = find_peaks([0.0, 0.4, 0.1, 0.6, 0.0])
-        assert [(p.frame_index, p.magnitude) for p in peaks] == [(1, 0.4), (3, 0.6)]
 
     def test_matches_definition_on_random_sequences(self):
         rng = np.random.default_rng(2)
@@ -298,6 +293,28 @@ def test_peak_candidates_reports_every_peak():
     assert [p.frame_index for p in cands] == [1, 3]
     det_all = DetectorSpec(SmootherSpec(()), 0.0, 0.0)
     assert len(detect_vehicles(series(v), det_all)) == 2
+
+
+@pytest.mark.parametrize("smoother", [(), (5, 3)])
+def test_candidates_equal_contour_oracle(smoother):
+    rng = np.random.default_rng(7)
+    spec = SmootherSpec(smoother)
+    for case in range(60):
+        n = int(rng.integers(3, 120))
+        if case % 2:  # plateau-rich: few distinct levels
+            values = rng.integers(0, 6, size=n) * (0.75 / 5)
+        else:
+            values = rng.uniform(0.0, 0.75, size=n)
+        s = series(values, frame_period=0.037)
+        smoothed = moving_average_cascade(values, spec)
+        inverted = s.t_d - smoothed
+        cands = peak_candidates(s, spec)
+        assert [p.frame_index for p in cands] == peak_indices(inverted).tolist()
+        for p in cands:
+            assert p.prominence == contour_oracle(inverted, p.frame_index)
+            assert p.magnitude == inverted[p.frame_index]
+            assert p.distance == smoothed[p.frame_index]
+            assert p.time == p.frame_index * 0.037
 
 
 def test_export_detections_csv(tmp_path):
