@@ -40,8 +40,8 @@ from .distreg import (
     train_pipeline,
 )
 from .peakdet import (
+    Detections,
     DetectorSpec,
-    Peak,
     SmootherSpec,
     count_at_threshold,
     detect_vehicles,

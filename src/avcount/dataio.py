@@ -160,6 +160,8 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
         raise DataError(f"unsupported encoding (format code {fmt_code}); PCM only")
     if n_channels < 1:
         raise DataError("invalid channel count")
+    if sample_rate == 0:
+        raise DataError("sample rate 0 in fmt chunk")
 
     doff, dsize = chunks[b"data"]
     dsize = min(dsize, len(data) - doff)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import deepcount, distreg, metrics
 from .dataio import DEFAULT_T_D, load_corpus, reference_distance, split_dataset
-from .features import extract_features
+from .features import FeatureMatrix, log_mel, stack_context, stft_power
 from .metrics import MetricsReport, compute_curve, confidence_interval
 from .nn_core import NumericError
 from .peakdet import DetectorSpec, SmootherSpec, detect_vehicles, peak_candidates
@@ -61,23 +61,33 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
     predictions, annotations = list(predictions), list(annotations)
     if not predictions:
         raise ValueError("empty tuning set")
-    intervals = [metrics.build_intervals(a, t_d) for a in annotations]
+    if len(predictions) != len(annotations):
+        raise ValueError("need one annotation per predicted series")
+    n_true = sum(a.n_vehicles for a in annotations)
+    if n_true == 0:
+        raise ValueError("no true vehicles in the evaluation set")
+    thresholds = np.linspace(0.0, t_d, 100)
     lo, hi = grid.objective_lo * t_d - 1e-12, grid.objective_hi * t_d + 1e-12
+    in_range = (lo <= thresholds) & (thresholds <= hi)
     table = []
     best = None
     for lengths in grid.smoothers:
         smoother = SmootherSpec(tuple(lengths))
-        candidates = [peak_candidates(s, smoother) for s in predictions]
+        # RVCE compares N_true with N_est = TP + FP, the detections below a
+        # threshold wherever they fall, so a cell needs no interval matching:
+        # only the distances of its kept candidates, pooled over all clips
+        # and sorted once per smoother
+        cands = [peak_candidates(s, smoother) for s in predictions]
+        distance = np.concatenate([c.distance for c in cands])
+        order = np.argsort(distance)
+        distance = distance[order]
+        magnitude = np.concatenate([c.magnitude for c in cands])[order]
+        prominence = np.concatenate([c.prominence for c in cands])[order]
         for m_frac in grid.m_fracs:
             for p_frac in grid.p_fracs:
-                m_th, p_th = m_frac * t_d, p_frac * t_d
-                per_clip = [
-                    (iv, [p for p in cands if p.magnitude > m_th or p.prominence > p_th])
-                    for iv, cands in zip(intervals, candidates)
-                ]
-                thresholds, tp, below, n_true = metrics.pooled_counts(per_clip, t_d)
-                rvce = (n_true - (tp + (below - tp))) / n_true * 100.0
-                in_range = (lo <= thresholds) & (thresholds <= hi)
+                keep = (magnitude > m_frac * t_d) | (prominence > p_frac * t_d)
+                below = np.searchsorted(distance[keep], thresholds, side="left")
+                rvce = (n_true - below) / n_true * 100.0
                 score = float(np.mean(np.abs(rvce[in_range])))
                 table.append(
                     {
@@ -150,16 +160,21 @@ def prepare_dataset(cfg: "ToolConfig"):
     the features when any f0 variant is requested).
     """
     clips, anns = load_corpus(cfg.paths["data_dir"])
-    features = {c.id: extract_features(c, cfg.spectrogram, cfg.q, cfg.stride) for c in clips}
+    # the f0 variant differs only in its mel bands, so it shares each clip's STFT
+    f0_cfg = replace(cfg.spectrogram, f_min=0.0)
+    features = {}
+    f0_features = {} if "VCNN_f0" in cfg.variants else None
+    for c in clips:
+        power = stft_power(c, cfg.spectrogram)
+        for spec, out in ((cfg.spectrogram, features), (f0_cfg, f0_features)):
+            if out is not None:
+                stacked = stack_context(log_mel(power, spec, c.sample_rate), cfg.q, cfg.stride)
+                out[c.id] = FeatureMatrix(c.id, stacked, spec.frame_period)
     targets = {}
     for c, a in zip(clips, anns):
         fm = features[c.id]
         targets[c.id] = reference_distance(a, fm.frames, fm.frame_period, cfg.t_d)
     anns_by_id = {a.clip_id: a for a in anns}
-    f0_features = None
-    if any(v == "VCNN_f0" for v in cfg.variants):
-        f0_cfg = replace(cfg.spectrogram, f_min=0.0)
-        f0_features = {c.id: extract_features(c, f0_cfg, cfg.q, cfg.stride) for c in clips}
     return [c.id for c in clips], features, targets, anns_by_id, f0_features
 
 

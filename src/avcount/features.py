@@ -153,11 +153,19 @@ def mel_filterbank(cfg: SpectrogramConfig, sample_rate: int) -> np.ndarray:
     return fb / peaks[:, None]
 
 
-def hf_lms(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
-    """log(filterbank @ power + log_floor), natural log, frames x n_mel."""
-    power = stft_power(clip, cfg)
-    fb = mel_filterbank(cfg, clip.sample_rate)
+def log_mel(power: np.ndarray, cfg: SpectrogramConfig, sample_rate: int) -> np.ndarray:
+    """log(filterbank @ power + log_floor), natural log, frames x n_mel.
+
+    ``power`` is stft_power's matrix; configs that differ only in their mel
+    settings (f_min, f_max, n_mel, log_floor) can share it.
+    """
+    fb = mel_filterbank(cfg, sample_rate)
     return np.log(power @ fb.T + cfg.log_floor)
+
+
+def hf_lms(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
+    """HF-LMS of one clip: log_mel of its stft_power."""
+    return log_mel(stft_power(clip, cfg), cfg, clip.sample_rate)
 
 
 def stack_context(lms: np.ndarray, q: int, stride: int) -> np.ndarray:

@@ -76,8 +76,7 @@ def _interval_minima(intervals, detections):
     the first interval ending at or after a time is then the only candidate,
     and at a shared endpoint it is the earlier of the two.
     """
-    times = np.array([p.time for p in detections], dtype=np.float64)
-    values = np.array([p.distance for p in detections], dtype=np.float64)
+    times, values = detections.time, detections.distance
     starts = np.array([iv.start for iv in intervals], dtype=np.float64)
     ends = np.array([iv.end for iv in intervals], dtype=np.float64)
     k = np.searchsorted(ends, times, side="left")
@@ -99,7 +98,7 @@ def classify_detections(intervals, detections, t_det: float):
 def pooled_counts(per_clip, t_d: float, n_points: int = 100):
     """Counts pooled over clips at equidistant thresholds in [0, t_d].
 
-    ``per_clip`` holds (intervals, detections) pairs. Returns (thresholds,
+    ``per_clip`` holds (intervals, Detections) pairs. Returns (thresholds,
     tp, below, n_true): per threshold, the intervals whose best detection
     lies below it and the detections below it (as float arrays), plus the
     number of true vehicles. FPs are ``below - tp``.

@@ -199,7 +199,8 @@ def loss_and_gradients(model: TrainedModel, batch, targets, update_running=False
             if l2 > 0:
                 gw = gw + 2.0 * l2 * layer.weights
             grads[i] = {"weights": gw, "bias": g.sum(axis=0)}
-            g = g @ layer.weights
+            if i > 0:  # no gradient reads the input's own gradient
+                g = g @ layer.weights
         else:
             _, x_hat, inv_std, _ = cache
             n = g.shape[0]

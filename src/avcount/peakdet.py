@@ -17,7 +17,7 @@ against a brute-force contour oracle.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import signal as _signal
@@ -53,15 +53,34 @@ class DetectorSpec:
             raise ValueError("m_frac and p_frac must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Peak:
-    """A detected inverted-distance maximum. distance = t_d - magnitude."""
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Inverted-distance peaks as parallel 1-D arrays, in frame order.
 
-    frame_index: int
-    time: float
-    magnitude: float
-    prominence: float
-    distance: float = float("nan")
+    ``distance`` is the smoothed series at each peak, so distance = t_d -
+    magnitude. ``len()`` is the peak count; indexing with a boolean mask
+    selects a subset.
+    """
+
+    frame_index: np.ndarray
+    time: np.ndarray
+    magnitude: np.ndarray
+    prominence: np.ndarray
+    distance: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = np.intp if f.name == "frame_index" else np.float64
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
+        shapes = {getattr(self, f.name).shape for f in fields(self)}
+        if len(shapes) != 1 or self.frame_index.ndim != 1:
+            raise ValueError("detection fields must be 1-D arrays of one length")
+
+    def __len__(self) -> int:
+        return self.frame_index.size
+
+    def __getitem__(self, mask) -> "Detections":
+        return Detections(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
 def _ma_single(values: np.ndarray, length: int) -> np.ndarray:
@@ -109,38 +128,30 @@ def prominence(values, peak_index: int) -> float:
     return float(_signal.peak_prominences(v, [int(peak_index)])[0][0])
 
 
-def peak_candidates(series: DistanceSeries, smoother: SmootherSpec) -> list:
+def peak_candidates(series: DistanceSeries, smoother: SmootherSpec) -> Detections:
     """All inverted-distance peaks with magnitude and prominence, unthresholded.
 
-    Shared by detect_vehicles and the grid search, which filters one
+    Shared by detect_vehicles and the grid search, which masks one
     candidate set per smoother under many (M, P) pairs.
     """
     smoothed = moving_average_cascade(series.values, smoother)
     inverted = series.t_d - smoothed
     idx = peak_indices(inverted)
     prom = _signal.peak_prominences(inverted, idx)[0]
-    return [
-        Peak(frame_index=i, time=i * series.frame_period, magnitude=m, prominence=p, distance=d)
-        for i, m, p, d in zip(
-            idx.tolist(), inverted[idx].tolist(), prom.tolist(), smoothed[idx].tolist()
-        )
-    ]
+    return Detections(idx, idx * series.frame_period, inverted[idx], prom, smoothed[idx])
 
 
-def detect_vehicles(series: DistanceSeries, det: DetectorSpec) -> list:
+def detect_vehicles(series: DistanceSeries, det: DetectorSpec) -> Detections:
     """Peaks whose magnitude exceeds M or prominence exceeds P, by time."""
+    cands = peak_candidates(series, det.smoother)
     m_thresh = det.m_frac * series.t_d
     p_thresh = det.p_frac * series.t_d
-    return [
-        p
-        for p in peak_candidates(series, det.smoother)
-        if p.magnitude > m_thresh or p.prominence > p_thresh
-    ]
+    return cands[(cands.magnitude > m_thresh) | (cands.prominence > p_thresh)]
 
 
-def count_at_threshold(detections, t_det: float) -> int:
+def count_at_threshold(detections: Detections, t_det: float) -> int:
     """Detections whose smoothed distance value falls below t_det (strict)."""
-    return sum(1 for p in detections if p.distance < t_det)
+    return int(np.count_nonzero(detections.distance < t_det))
 
 
 def export_detections_csv(path, detections_by_clip: dict):
@@ -151,13 +162,8 @@ def export_detections_csv(path, detections_by_clip: dict):
             ["clip_id", "time_s", "distance_s", "magnitude_s", "prominence_s"]
         )
         for clip_id in sorted(detections_by_clip):
-            for p in detections_by_clip[clip_id]:
-                writer.writerow(
-                    [
-                        clip_id,
-                        f"{p.time:.6f}",
-                        f"{p.distance:.6f}",
-                        f"{p.magnitude:.6f}",
-                        f"{p.prominence:.6f}",
-                    ]
-                )
+            d = detections_by_clip[clip_id]
+            for t, dist, mag, prom in zip(
+                d.time.tolist(), d.distance.tolist(), d.magnitude.tolist(), d.prominence.tolist()
+            ):
+                writer.writerow([clip_id, f"{t:.6f}", f"{dist:.6f}", f"{mag:.6f}", f"{prom:.6f}"])

@@ -296,17 +296,17 @@ def test_a4_metric_identities():
         instants = tuple(np.sort(rng.uniform(1, 19, int(rng.integers(1, 5)))))
         ann = PassByAnnotation(f"c{c}", instants, 20.0)
         intervals = metrics.build_intervals(ann, T_D)
-        dets = [
-            peakdet.Peak(
-                frame_index=0,
-                time=float(rng.uniform(0, 20)),
-                magnitude=T_D - d,
-                prominence=0.1,
-                distance=float(d),
-            )
-            for d in rng.uniform(0, T_D, int(rng.integers(0, 7)))
-        ]
-        per_clip.append((intervals, sorted(dets, key=lambda p: p.time)))
+        distances = rng.uniform(0, T_D, int(rng.integers(0, 7)))
+        times = np.array([float(rng.uniform(0, 20)) for _ in distances])
+        order = np.argsort(times, kind="stable")
+        dets = peakdet.Detections(
+            frame_index=np.zeros(distances.size, dtype=int),
+            time=times[order],
+            magnitude=T_D - distances[order],
+            prominence=np.full(distances.size, 0.1),
+            distance=distances[order],
+        )
+        per_clip.append((intervals, dets))
     report = metrics.compute_curve(per_clip, T_D)
     assert len(report.curve) == 100
     for pt in report.curve:
@@ -317,12 +317,10 @@ def test_a4_metric_identities():
     # constructed crossing: 3 TPs, 1 FN, 1 FP -> p_fp = p_fn = 0.25 exactly
     anns = [PassByAnnotation("x", (3.0, 8.0, 13.0, 18.0), 20.0)]
     intervals = metrics.build_intervals(anns[0], T_D)
-    dets = [
-        peakdet.Peak(0, 3.0, T_D - 0.1, 0.5, 0.1),
-        peakdet.Peak(0, 8.0, T_D - 0.1, 0.5, 0.1),
-        peakdet.Peak(0, 13.0, T_D - 0.1, 0.5, 0.1),
-        peakdet.Peak(0, 5.5, T_D - 0.1, 0.5, 0.1),  # outside every interval
-    ]
+    # the last detection lies outside every interval
+    dets = peakdet.Detections(
+        [0] * 4, [3.0, 8.0, 13.0, 5.5], [T_D - 0.1] * 4, [0.5] * 4, [0.1] * 4
+    )
     crossing = metrics.compute_curve([(intervals, dets)], T_D)
     assert crossing.efp_tdet is not None
     assert crossing.efp_value == pytest.approx(0.25)

@@ -82,6 +82,12 @@ class TestLoadClip:
         with pytest.raises(DataError, match="non-finite"):
             load_clip(path)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        write_raw_wav(path, struct.pack("<3h", 0, 1000, -1000), rate=0, bits=16)
+        with pytest.raises(DataError, match="sample rate 0"):
+            load_clip(path)
+
     def test_loading_idempotent(self, tmp_path):
         path = tmp_path / "a.wav"
         save_wav(path, np.random.default_rng(1).uniform(-1, 1, 1000), 44100)

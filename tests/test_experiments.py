@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from avcount import experiments
 from avcount.config import ToolConfig
-from avcount.dataio import DistanceSeries, PassByAnnotation
+from avcount.dataio import DistanceSeries, PassByAnnotation, load_corpus
 from avcount.experiments import (
     PP_PROMINENCE_FRACTIONS,
     TUNED_DETECTORS,
@@ -17,6 +18,7 @@ from avcount.experiments import (
     run_ablation,
     single_run,
 )
+from avcount.features import extract_features, stft_power
 from avcount.peakdet import DetectorSpec
 from avcount.synthgen import SceneSpec, generate_corpus
 
@@ -132,6 +134,17 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search([], [], GridSpec(), T_D)
 
+    def test_tuning_set_without_vehicles_rejected(self):
+        ann = PassByAnnotation("c", (), 20.0)
+        with pytest.raises(ValueError, match="no true vehicles"):
+            grid_search([series(np.full(540, T_D))], [ann], GridSpec(), T_D)
+
+    def test_unpaired_annotations_rejected(self):
+        ann = PassByAnnotation("c", (5.0,), 20.0)
+        pred = series(v_shape(round(5.0 / FP)))
+        with pytest.raises(ValueError, match="one annotation per"):
+            grid_search([pred], [ann, ann], GridSpec(), T_D)
+
 
 class TestRunAblation:
     def _ctx(self):
@@ -189,6 +202,38 @@ def tiny_config(tiny_corpus):
         n_runs=2,
         variants=("VCNN", "VCNN_S1"),
     )
+
+
+class TestPrepareDataset:
+    @pytest.fixture
+    def f0_config(self, tiny_config):
+        return replace(tiny_config, variants=("VCNN", "VCNN_f0"))
+
+    def test_feature_sets_equal_extract_features(self, f0_config):
+        ids, features, _, _, f0_features = prepare_dataset(f0_config)
+        clips, _ = load_corpus(f0_config.paths["data_dir"])
+        f0_spec = replace(f0_config.spectrogram, f_min=0.0)
+        assert ids == [c.id for c in clips]
+        for clip in clips:
+            for spec, got in ((f0_config.spectrogram, features), (f0_spec, f0_features)):
+                want = extract_features(clip, spec, f0_config.q, f0_config.stride)
+                assert got[clip.id].clip_id == want.clip_id
+                assert got[clip.id].frame_period == want.frame_period
+                assert np.array_equal(got[clip.id].data, want.data)
+
+    def test_stft_runs_once_per_clip(self, f0_config, monkeypatch):
+        calls = []
+
+        def counting_stft_power(clip, cfg):
+            calls.append(clip.id)
+            return stft_power(clip, cfg)
+
+        monkeypatch.setattr(experiments, "stft_power", counting_stft_power)
+        ids, *_ = prepare_dataset(f0_config)
+        assert sorted(calls) == sorted(ids) and len(ids) == 10
+
+    def test_no_f0_features_without_the_variant(self, tiny_config):
+        assert prepare_dataset(tiny_config)[4] is None
 
 
 class TestMultiRun:

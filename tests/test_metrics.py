@@ -15,14 +15,18 @@ from avcount.metrics import (
     write_curve_csv,
     write_summary_csv,
 )
-from avcount.peakdet import Peak
+from avcount.peakdet import Detections
 
 T_D = 0.75
 
 
-def det(time, distance=0.0):
-    return Peak(frame_index=0, time=time, magnitude=T_D - distance, prominence=0.1,
-                distance=distance)
+def dets(*pairs):
+    """Detections at the given (time, distance) pairs, in the given order."""
+    times = [float(t) for t, _ in pairs]
+    distances = [float(d) for _, d in pairs]
+    n = len(pairs)
+    return Detections(np.zeros(n, dtype=int), times, [T_D - d for d in distances],
+                      np.full(n, 0.1), distances)
 
 
 class TestBuildIntervals:
@@ -58,36 +62,36 @@ class TestClassifyDetections:
         return build_intervals(PassByAnnotation("a", (5.0,), 20.0), T_D)
 
     def test_single_true_positive(self):
-        assert classify_detections(self._one_interval(), [det(5.0, 0.1)], 0.5) == (1, 0, 0)
+        assert classify_detections(self._one_interval(), dets((5.0, 0.1)), 0.5) == (1, 0, 0)
 
     def test_max_one_detection_per_interval(self):
-        dets = [det(4.9, 0.1), det(5.1, 0.2)]
-        assert classify_detections(self._one_interval(), dets, 0.5) == (1, 1, 0)
+        d = dets((4.9, 0.1), (5.1, 0.2))
+        assert classify_detections(self._one_interval(), d, 0.5) == (1, 1, 0)
 
     def test_detection_outside_all_intervals_is_fp(self):
-        assert classify_detections(self._one_interval(), [det(15.0, 0.1)], 0.5) == (0, 1, 1)
+        assert classify_detections(self._one_interval(), dets((15.0, 0.1)), 0.5) == (0, 1, 1)
 
     def test_detection_above_threshold_ignored(self):
-        assert classify_detections(self._one_interval(), [det(5.0, 0.6)], 0.5) == (0, 0, 1)
+        assert classify_detections(self._one_interval(), dets((5.0, 0.6)), 0.5) == (0, 0, 1)
 
     def test_threshold_is_strict(self):
-        assert classify_detections(self._one_interval(), [det(5.0, 0.5)], 0.5) == (0, 0, 1)
+        assert classify_detections(self._one_interval(), dets((5.0, 0.5)), 0.5) == (0, 0, 1)
 
     def test_order_invariance(self):
         ivs = build_intervals(PassByAnnotation("a", (3.0, 9.0), 20.0), T_D)
-        dets = [det(9.1, 0.05), det(2.9, 0.2), det(15.0, 0.1), det(3.2, 0.3)]
-        fwd = classify_detections(ivs, dets, 0.6)
-        rev = classify_detections(ivs, list(reversed(dets)), 0.6)
+        pairs = [(9.1, 0.05), (2.9, 0.2), (15.0, 0.1), (3.2, 0.3)]
+        fwd = classify_detections(ivs, dets(*pairs), 0.6)
+        rev = classify_detections(ivs, dets(*reversed(pairs)), 0.6)
         assert fwd == rev == (2, 2, 0)
 
 
 def first_containing_minima(intervals, detections):
     """Reference matcher: each detection goes to the first interval holding it."""
     best = np.full(len(intervals), np.inf)
-    for p in detections:
+    for time, distance in zip(detections.time.tolist(), detections.distance.tolist()):
         for k, iv in enumerate(intervals):
-            if iv.start <= p.time <= iv.end:
-                best[k] = min(best[k], p.distance)
+            if iv.start <= time <= iv.end:
+                best[k] = min(best[k], distance)
                 break
     return best
 
@@ -95,7 +99,7 @@ def first_containing_minima(intervals, detections):
 class TestIntervalMinima:
     def test_shared_boundary_goes_to_earlier_interval(self):
         ivs = build_intervals(PassByAnnotation("a", (5.0, 5.8), 20.0), T_D)
-        best, values = _interval_minima(ivs, [det(5.4, 0.1), det(5.41, 0.3)])
+        best, values = _interval_minima(ivs, dets((5.4, 0.1), (5.41, 0.3)))
         assert best.tolist() == [0.1, 0.3]
         assert values.tolist() == [0.1, 0.3]
 
@@ -121,9 +125,9 @@ class TestIntervalMinima:
         distances = data.draw(
             st.lists(st.floats(0.0, T_D), min_size=len(times), max_size=len(times))
         )
-        dets = [det(t, d) for t, d in zip(times, distances)]
-        best, values = _interval_minima(ivs, data.draw(st.permutations(dets)))
-        assert np.array_equal(best, first_containing_minima(ivs, dets))
+        pairs = list(zip(times, distances))
+        best, values = _interval_minima(ivs, dets(*data.draw(st.permutations(pairs))))
+        assert np.array_equal(best, first_containing_minima(ivs, dets(*pairs)))
         assert sorted(values.tolist()) == sorted(distances)
 
 
@@ -134,8 +138,7 @@ class TestComputeCurve:
             instants = tuple(2.0 + 4.0 * k for k in range(per_clip))
             ann = PassByAnnotation(f"c{c}", instants, 20.0)
             ivs = build_intervals(ann, T_D)
-            dets = [det(t, 0.0) for t in instants]
-            out.append((ivs, dets))
+            out.append((ivs, dets(*[(t, 0.0) for t in instants])))
         return out
 
     def test_perfect_detector(self):
@@ -149,7 +152,7 @@ class TestComputeCurve:
         assert all(r == 0.0 for t, r in report.rvce_by_tdet if t > 0)
 
     def test_no_detections(self):
-        per_clip = [(ivs, []) for ivs, _ in self._perfect()]
+        per_clip = [(ivs, dets()) for ivs, _ in self._perfect()]
         report = compute_curve(per_clip, T_D)
         assert all(pt.p_tp == 0.0 and pt.p_fn == 1.0 and pt.p_fp == 0.0 for pt in report.curve)
         assert report.efp_tdet is None and report.efp_value is None
@@ -162,9 +165,9 @@ class TestComputeCurve:
             instants = tuple(np.sort(rng.uniform(1, 19, 3)))
             ann = PassByAnnotation(f"c{c}", instants, 20.0)
             ivs = build_intervals(ann, T_D)
-            dets = [det(t + rng.normal(0, 0.2), rng.uniform(0, 0.75)) for t in instants]
-            dets += [det(rng.uniform(0, 20), rng.uniform(0, 0.75))]
-            per_clip.append((ivs, sorted(dets, key=lambda p: p.time)))
+            pairs = [(t + rng.normal(0, 0.2), rng.uniform(0, 0.75)) for t in instants]
+            pairs += [(rng.uniform(0, 20), rng.uniform(0, 0.75))]
+            per_clip.append((ivs, dets(*sorted(pairs, key=lambda p: p[0]))))
         report = compute_curve(per_clip, T_D)
         for pt in report.curve:
             assert pt.p_tp + pt.p_fn == pytest.approx(1.0)
@@ -185,8 +188,8 @@ class TestComputeCurve:
         # the crossing must be interpolated strictly between grid points
         ann = PassByAnnotation("a", (3.0, 9.0), 20.0)
         ivs = build_intervals(ann, T_D)
-        dets = [det(3.0, 0.1), det(9.0, 0.374), det(15.0, 0.376)]
-        report = compute_curve([(ivs, dets)], T_D)
+        d = dets((3.0, 0.1), (9.0, 0.374), (15.0, 0.376))
+        report = compute_curve([(ivs, d)], T_D)
         gap = T_D / 99
         assert 49 * gap < report.efp_tdet < 50 * gap
         assert report.efp_value == pytest.approx(0.25)
@@ -194,8 +197,8 @@ class TestComputeCurve:
     def test_efp_on_grid_point_when_curves_meet_there(self):
         ann = PassByAnnotation("a", (5.0,), 20.0)
         ivs = build_intervals(ann, T_D)
-        dets = [det(5.0, 0.4), det(10.0, 0.2)]
-        report = compute_curve([(ivs, dets)], T_D)
+        d = dets((5.0, 0.4), (10.0, 0.2))
+        report = compute_curve([(ivs, d)], T_D)
         # p_fp and p_fn are both 1 over [0.2, 0.4]; the first grid point
         # with p_fp == p_fn is reported
         assert report.efp_tdet == pytest.approx(27 * T_D / 99)
@@ -204,7 +207,7 @@ class TestComputeCurve:
     def test_empty_truth_rejected(self):
         ann = PassByAnnotation("a", (), 20.0)
         with pytest.raises(ValueError):
-            compute_curve([(build_intervals(ann, T_D), [])], T_D)
+            compute_curve([(build_intervals(ann, T_D), dets())], T_D)
 
 
 class TestRvce:
@@ -250,7 +253,7 @@ class TestConfidenceInterval:
 def test_report_csvs(tmp_path):
     ann = PassByAnnotation("a", (5.0, 9.0), 20.0)
     ivs = build_intervals(ann, T_D)
-    report = compute_curve([(ivs, [det(5.0, 0.1), det(9.0, 0.2)])], T_D)
+    report = compute_curve([(ivs, dets((5.0, 0.1), (9.0, 0.2)))], T_D)
     curve_path = tmp_path / "curve.csv"
     summary_path = tmp_path / "summary.csv"
     write_curve_csv(curve_path, report)

@@ -5,8 +5,8 @@ import pytest
 
 from avcount.dataio import DistanceSeries
 from avcount.peakdet import (
+    Detections,
     DetectorSpec,
-    Peak,
     SmootherSpec,
     count_at_threshold,
     detect_vehicles,
@@ -212,27 +212,27 @@ class TestDetectVehicles:
         v = 0.75 - np.array([0.0, 0.2, 0.74, 0.26, 0.46, 0.2, 0.0, 0.0, 0.0, 0.0])
         s = series(v)
         kept = detect_vehicles(s, det)
-        mags = sorted(round(p.magnitude, 2) for p in kept)
-        assert mags == [0.46, 0.74]
-        weaker = [p for p in kept if round(p.magnitude, 2) == 0.46][0]
-        assert weaker.prominence == pytest.approx(0.20)
-        assert weaker.magnitude > 0.40 * 0.75
-        assert weaker.prominence > 0.20 * 0.75  # also clears P
+        mags = [round(m, 2) for m in kept.magnitude.tolist()]
+        assert sorted(mags) == [0.46, 0.74]
+        weaker = kept[np.array(mags) == 0.46]
+        assert weaker.prominence[0] == pytest.approx(0.20)
+        assert weaker.magnitude[0] > 0.40 * 0.75
+        assert weaker.prominence[0] > 0.20 * 0.75  # also clears P
 
     def test_weak_peak_failing_both_clauses_rejected(self):
         det = DetectorSpec(SmootherSpec(()), m_frac=0.40, p_frac=0.20)
         # (0.25, 0.10) peak beside a taller one: fails both clauses
         v = 0.75 - np.array([0.0, 0.6, 0.15, 0.25, 0.15, 0.15, 0.0, 0.0])
         kept = detect_vehicles(series(v), det)
-        assert [round(p.magnitude, 2) for p in kept] == [0.6]
+        assert [round(m, 2) for m in kept.magnitude.tolist()] == [0.6]
         rejected = peak_candidates(series(v), SmootherSpec(()))
-        weak = [p for p in rejected if round(p.magnitude, 2) == 0.25][0]
-        assert weak.prominence == pytest.approx(0.10)
-        assert weak.magnitude <= 0.30 and weak.prominence <= 0.15
+        weak = rejected[np.array([round(m, 2) for m in rejected.magnitude.tolist()]) == 0.25]
+        assert weak.prominence[0] == pytest.approx(0.10)
+        assert weak.magnitude[0] <= 0.30 and weak.prominence[0] <= 0.15
 
     def test_flat_series_at_t_d_has_no_detections(self):
         det = DetectorSpec(SmootherSpec((5, 3)), 0.40, 0.20)
-        assert detect_vehicles(series(np.full(50, 0.75)), det) == []
+        assert len(detect_vehicles(series(np.full(50, 0.75)), det)) == 0
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(6)
@@ -241,18 +241,18 @@ class TestDetectVehicles:
         base = detect_vehicles(s, DetectorSpec(SmootherSpec((3,)), 0.30, 0.10))
         for m, p in [(0.4, 0.1), (0.3, 0.2), (0.5, 0.25)]:
             tighter = detect_vehicles(s, DetectorSpec(SmootherSpec((3,)), m, p))
-            base_ids = {pk.frame_index for pk in base}
-            assert {pk.frame_index for pk in tighter} <= base_ids
+            base_ids = set(base.frame_index.tolist())
+            assert set(tighter.frame_index.tolist()) <= base_ids
 
     def test_detections_sorted_by_time_with_metadata(self):
         v = 0.75 - np.array([0, 0.5, 0, 0, 0.6, 0, 0, 0.4, 0], dtype=float)
         det = DetectorSpec(SmootherSpec(()), 0.3, 0.2)
         kept = detect_vehicles(series(v, frame_period=0.2), det)
-        times = [p.time for p in kept]
+        times = kept.time.tolist()
         assert times == sorted(times)
-        for p in kept:
-            assert p.distance == pytest.approx(0.75 - p.magnitude)
-            assert p.time == pytest.approx(p.frame_index * 0.2)
+        for i, t, m, d in zip(kept.frame_index, kept.time, kept.magnitude, kept.distance):
+            assert d == pytest.approx(0.75 - m)
+            assert t == pytest.approx(i * 0.2)
 
     def test_prominence_only_mode_disables_magnitude(self):
         v = 0.75 - np.array([0, 0.74, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float)
@@ -260,16 +260,17 @@ class TestDetectVehicles:
         kept = detect_vehicles(series(v), pp)
         assert len(kept) == 1  # by prominence: 0.74 > 0.15 * 0.75
         tiny = 0.75 - np.array([0, 0.1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float)
-        assert detect_vehicles(series(tiny), pp) == []
+        assert len(detect_vehicles(series(tiny), pp)) == 0
 
 
 class TestCountAtThreshold:
     def _peaks(self, distances):
-        return [
-            Peak(frame_index=i, time=float(i), magnitude=0.75 - d, prominence=0.1,
-                 distance=d)
-            for i, d in enumerate(distances)
-        ]
+        d = np.array(distances, dtype=float)
+        i = np.arange(d.size)
+        return Detections(
+            frame_index=i, time=i.astype(float), magnitude=0.75 - d,
+            prominence=np.full(d.size, 0.1), distance=d,
+        )
 
     def test_zero_threshold_counts_nothing(self):
         assert count_at_threshold(self._peaks([0.0, 0.1]), 0.0) == 0
@@ -290,7 +291,7 @@ class TestCountAtThreshold:
 def test_peak_candidates_reports_every_peak():
     v = 0.75 - np.array([0, 0.7, 0.2, 0.3, 0.1, 0.05, 0], dtype=float)
     cands = peak_candidates(series(v), SmootherSpec(()))
-    assert [p.frame_index for p in cands] == [1, 3]
+    assert cands.frame_index.tolist() == [1, 3]
     det_all = DetectorSpec(SmootherSpec(()), 0.0, 0.0)
     assert len(detect_vehicles(series(v), det_all)) == 2
 
@@ -309,12 +310,35 @@ def test_candidates_equal_contour_oracle(smoother):
         smoothed = moving_average_cascade(values, spec)
         inverted = s.t_d - smoothed
         cands = peak_candidates(s, spec)
-        assert [p.frame_index for p in cands] == peak_indices(inverted).tolist()
-        for p in cands:
-            assert p.prominence == contour_oracle(inverted, p.frame_index)
-            assert p.magnitude == inverted[p.frame_index]
-            assert p.distance == smoothed[p.frame_index]
-            assert p.time == p.frame_index * 0.037
+        assert cands.frame_index.tolist() == peak_indices(inverted).tolist()
+        for i, t, m, p, d in zip(
+            cands.frame_index.tolist(), cands.time.tolist(), cands.magnitude.tolist(),
+            cands.prominence.tolist(), cands.distance.tolist(),
+        ):
+            assert p == contour_oracle(inverted, i)
+            assert m == inverted[i]
+            assert d == smoothed[i]
+            assert t == i * 0.037
+
+
+class TestDetections:
+    def test_len_and_mask_select_every_field(self):
+        d = Detections([2, 5, 9], [0.2, 0.5, 0.9], [0.7, 0.1, 0.4], [0.3, 0.1, 0.2],
+                       [0.05, 0.65, 0.35])
+        assert len(d) == 3
+        sub = d[np.array([True, False, True])]
+        assert len(sub) == 2
+        assert sub.frame_index.tolist() == [2, 9]
+        assert sub.time.tolist() == [0.2, 0.9]
+        assert sub.magnitude.tolist() == [0.7, 0.4]
+        assert sub.prominence.tolist() == [0.3, 0.2]
+        assert sub.distance.tolist() == [0.05, 0.35]
+
+    def test_fields_must_share_one_length(self):
+        with pytest.raises(ValueError):
+            Detections([1, 2], [0.1, 0.2], [0.5], [0.1, 0.1], [0.2, 0.2])
+        with pytest.raises(ValueError):
+            Detections([[1]], [[0.1]], [[0.5]], [[0.1]], [[0.2]])
 
 
 def test_export_detections_csv(tmp_path):
