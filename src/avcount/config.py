@@ -15,6 +15,7 @@ from .dataio import DEFAULT_T_D, DataError
 from .deepcount import ConvCounterSpec
 from .experiments import GridSpec
 from .features import SpectrogramConfig
+from .nn_core import check_int, check_real
 from .peakdet import DetectorSpec, SmootherSpec
 from .synthgen import SceneSpec
 
@@ -61,6 +62,8 @@ _SCENE_KEYS = {
 }
 _DEEP_KEYS = {"conv_layers", "head_sizes", "loss", "epochs", "batch_clips", "learning_rate", "seed"}
 _PATH_KEYS = {"data_dir", "out_dir"}
+# integer top-level keys and their smallest allowed value
+_INT_KEYS = {"seed": 0, "k": 0, "q": 0, "stride": 1, "epochs": 1, "n_clips": 1, "n_runs": 1}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -162,21 +165,21 @@ def parse_config(raw: dict) -> ToolConfig:
         if "paths" in raw:
             _check_keys(raw["paths"], _PATH_KEYS, "paths")
             cfg.paths = dict(raw["paths"])
-        for name in (
-            "seed",
-            "t_d",
-            "k",
-            "q",
-            "stride",
-            "epochs",
-            "split_ratio",
-            "n_clips",
-            "n_runs",
-        ):
+        for name, minimum in _INT_KEYS.items():
             if name in raw:
+                check_int(name, raw[name], minimum)
                 setattr(cfg, name, raw[name])
+        if "t_d" in raw:
+            check_real("t_d", raw["t_d"], positive=True)
+            cfg.t_d = raw["t_d"]
+        if "split_ratio" in raw:
+            check_real("split_ratio", raw["split_ratio"])
+            if not 0 < raw["split_ratio"] < 1:
+                raise ValueError(f"split_ratio must be in (0, 1), got {raw['split_ratio']}")
+            cfg.split_ratio = raw["split_ratio"]
         if "variants" in raw:
             cfg.variants = tuple(raw["variants"])
+        cfg.stage_specs(cfg.seed)  # the stage sections must make valid specs
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid config value: {exc}") from exc
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn_core
 from .dataio import DataError, DistanceSeries
-from .nn_core import DenseLayer, NumericError
+from .nn_core import DenseLayer, NumericError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,11 @@ class ConvCounterSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for layer in self.conv_layers:
+            for v in layer:
+                check_int("conv layer value", v)
+        for s in self.head_sizes:
+            check_int("head size", s, 1)
         conv = tuple(tuple(int(v) for v in layer) for layer in self.conv_layers)
         object.__setattr__(self, "conv_layers", conv)
         object.__setattr__(self, "head_sizes", tuple(int(s) for s in self.head_sizes))
@@ -40,8 +45,10 @@ class ConvCounterSpec:
                 raise ValueError("kernel lengths must be odd")
         if self.loss not in ("l1", "l2"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.epochs < 1 or self.batch_clips < 1:
-            raise ValueError("epochs and batch_clips must be >= 1")
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_clips", self.batch_clips, 1)
+        check_real("learning_rate", self.learning_rate, positive=True)
+        check_int("seed", self.seed, 0)
 
     @property
     def max_kernel(self) -> int:
@@ -125,18 +132,8 @@ def _forward_full(counter: DeepCounter, series, keep_cache=False):
             conv_caches.append((x.shape[1], windows, left, mask))
         x = np.maximum(y, 0.0)
     pooled = x.mean(axis=1)
-    h = pooled[None, :]
-    head_caches = []
-    for i, layer in enumerate(counter.head):
-        z = h @ layer.weights.T + layer.bias
-        if i < len(counter.head) - 1:
-            if keep_cache:
-                head_caches.append((h, z > 0))
-            h = np.maximum(z, 0.0)
-        else:
-            if keep_cache:
-                head_caches.append((h, None))
-            h = z
+    head_caches = [] if keep_cache else None
+    h = nn_core.forward_layers(counter.head, pooled[None, :], False, caches=head_caches)
     raw = float(h[0, 0])
     if keep_cache:
         return raw, (conv_caches, x.shape[1], head_caches)
@@ -149,26 +146,21 @@ def conv_forward(counter: DeepCounter, series) -> float:
     return raw
 
 
-def _backward_full(counter: DeepCounter, caches, d_raw):
+def _backward_full(counter: DeepCounter, caches, d_raw, grads):
+    """Backprop one clip's output gradient; writes into grads (parallel to layers)."""
     conv_caches, pooled_len, head_caches = caches
-    grads_head = [None] * len(counter.head)
-    g = np.array([[d_raw]])
-    for i in range(len(counter.head) - 1, -1, -1):
-        h_in, relu_mask = head_caches[i]
-        if relu_mask is not None:
-            g = g * relu_mask
-        grads_head[i] = {"weights": g.T @ h_in, "bias": g.sum(axis=0)}
-        g = g @ counter.head[i].weights
+    n_conv = len(counter.convs)
+    g = nn_core.backward_layers(
+        counter.head, head_caches, np.array([[d_raw]]), grads[n_conv:], input_grad=True
+    )
     # through global average pooling
     g = np.repeat(g.T, pooled_len, axis=1) / pooled_len
-    grads_conv = [None] * len(counter.convs)
-    for i in range(len(counter.convs) - 1, -1, -1):
+    for i in range(n_conv - 1, -1, -1):
         layer = counter.convs[i]
         n_in, windows, left, mask = conv_caches[i]
         g = g * mask
-        dw = np.tensordot(g, windows, axes=([1], [1]))
-        db = g.sum(axis=1)
-        grads_conv[i] = {"weights": dw, "bias": db}
+        grads[i]["weights"][...] = np.tensordot(g, windows, axes=([1], [1]))
+        np.add.reduce(g, axis=1, out=grads[i]["bias"])
         if i > 0:
             contrib = np.tensordot(g, layer.weights, axes=([0], [0]))  # n_out, c_in, k
             contrib = contrib.transpose(1, 0, 2)
@@ -187,19 +179,26 @@ def _backward_full(counter: DeepCounter, caches, d_raw):
             tail = dx_pad.shape[1] - (left + n_in)
             if tail > 0:
                 g[:, -1] += dx_pad[:, left + n_in :].sum(axis=1)
-    return grads_conv + grads_head
 
 
-def loss_and_gradients(counter: DeepCounter, series_list, counts):
-    """Mean per-clip loss and parameter gradients over a batch of clips."""
+def loss_and_gradients(counter: DeepCounter, series_list, counts, grads=None):
+    """Mean per-clip loss and parameter gradients over a batch of clips.
+
+    The clips' gradients are summed in batch order into ``grads`` (a list
+    parallel to counter.layers of name->array dicts, such as
+    ``nn_core.Adam.grads``; fresh arrays when None), which is returned.
+    """
     series_list = list(series_list)
     counts = np.asarray(list(counts), dtype=np.float64)
     if len(series_list) != counts.size or not series_list:
         raise ValueError("need matching, nonempty series and counts")
+    layers = counter.layers
+    if grads is None:
+        grads = nn_core.param_views(layers)
+    clip_grads = nn_core.param_views(layers)
     total = 0.0
-    grads = None
     b = len(series_list)
-    for series, y in zip(series_list, counts):
+    for j, (series, y) in enumerate(zip(series_list, counts)):
         raw, caches = _forward_full(counter, series, keep_cache=True)
         diff = raw - y
         if counter.spec.loss == "l2":
@@ -208,11 +207,10 @@ def loss_and_gradients(counter: DeepCounter, series_list, counts):
         else:
             total += abs(diff) / b
             d_raw = np.sign(diff) / b
-        g = _backward_full(counter, caches, d_raw)
-        if grads is None:
-            grads = g
-        else:
-            for acc, new in zip(grads, g):
+        # the first clip writes the sum, later ones are added to it
+        _backward_full(counter, caches, d_raw, clip_grads if j else grads)
+        if j:
+            for acc, new in zip(grads, clip_grads):
                 for name in acc:
                     acc[name] += new[name]
     if not np.isfinite(total):
@@ -230,19 +228,20 @@ def train_counter(spec: ConvCounterSpec, series_list, counts) -> DeepCounter:
         raise ValueError("empty training data")
     rng = np.random.default_rng(spec.seed)
     counter = init_counter(spec, rng)
-    adam = nn_core._AdamState(counter.layers)
-    n = len(series_list)
-    for _ in range(spec.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, spec.batch_clips):
-            sel = order[start : start + spec.batch_clips]
-            loss, grads = loss_and_gradients(
-                counter, [series_list[i] for i in sel], counts[sel]
-            )
-            adam.step(counter.layers, grads, spec.learning_rate)
-            epoch_loss += loss * sel.size
-        counter.train_loss_history.append(epoch_loss / n)
+    adam = nn_core.Adam(counter.layers)
+
+    def batch_loss(sel):
+        loss, _ = loss_and_gradients(
+            counter, [series_list[i] for i in sel], counts[sel], grads=adam.grads
+        )
+        return loss
+
+    counter.train_loss_history.extend(
+        nn_core.run_epochs(
+            rng, len(series_list), spec.epochs, spec.batch_clips, adam,
+            spec.learning_rate, batch_loss,
+        )
+    )
     return counter
 
 
@@ -252,14 +251,18 @@ def predict_count(counter: DeepCounter, series) -> int:
     return max(int(np.floor(raw + 0.5)), 0)
 
 
-def save_counter(counter: DeepCounter, path):
+def _counter_blocks(counter: DeepCounter):
+    """(checkpoint name, array) for every parameter block."""
     blocks = []
-    for i, layer in enumerate(counter.convs):
-        blocks.append((f"conv{i}.weights", layer.weights))
-        blocks.append((f"conv{i}.bias", layer.bias))
-    for i, layer in enumerate(counter.head):
-        blocks.append((f"head{i}.weights", layer.weights))
-        blocks.append((f"head{i}.bias", layer.bias))
+    for prefix, layers in (("conv", counter.convs), ("head", counter.head)):
+        for i, layer in enumerate(layers):
+            blocks.append((f"{prefix}{i}.weights", layer.weights))
+            blocks.append((f"{prefix}{i}.bias", layer.bias))
+    return blocks
+
+
+def save_counter(counter: DeepCounter, path):
+    blocks = _counter_blocks(counter)
     blocks.append(("train_loss_history", np.asarray(counter.train_loss_history)))
     nn_core.write_checkpoint(path, "conv_counter", asdict(counter.spec), blocks)
 
@@ -268,19 +271,14 @@ def load_counter(path) -> DeepCounter:
     kind, spec_dict, blocks = nn_core.read_checkpoint(path)
     if kind != "conv_counter":
         raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'conv_counter'")
-    spec_dict["conv_layers"] = tuple(tuple(l) for l in spec_dict["conv_layers"])
-    spec_dict["head_sizes"] = tuple(spec_dict["head_sizes"])
-    spec = ConvCounterSpec(**spec_dict)
+    try:
+        spec_dict["conv_layers"] = tuple(tuple(l) for l in spec_dict["conv_layers"])
+        spec_dict["head_sizes"] = tuple(spec_dict["head_sizes"])
+        spec = ConvCounterSpec(**spec_dict)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: invalid conv_counter spec ({exc})") from exc
     counter = init_counter(spec)
     named = dict(blocks)
-    try:
-        for i, layer in enumerate(counter.convs):
-            layer.weights = named[f"conv{i}.weights"].copy()
-            layer.bias = named[f"conv{i}.bias"].copy()
-        for i, layer in enumerate(counter.head):
-            layer.weights = named[f"head{i}.weights"].copy()
-            layer.bias = named[f"head{i}.bias"].copy()
-    except KeyError as exc:
-        raise DataError(f"{path}: missing parameter block {exc}") from exc
+    nn_core.copy_blocks(path, named, _counter_blocks(counter))
     counter.train_loss_history = list(named.get("train_loss_history", []))
     return counter

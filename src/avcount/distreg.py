@@ -94,7 +94,7 @@ def train_stage1(features, targets, spec: NetworkSpec, t_d: float = DEFAULT_T_D)
 
 def predict_stage1(stage1: TrainedModel, features: FeatureMatrix, t_d: float = DEFAULT_T_D) -> DistanceSeries:
     """Per-frame coarse prediction, clamped to [0, t_d]."""
-    raw = nn_core.forward(stage1, features.data, mode="infer")[:, 0]
+    raw = nn_core.forward(stage1, features.data)[:, 0]
     return DistanceSeries(
         clip_id=features.clip_id,
         values=np.clip(raw, 0.0, t_d),
@@ -135,7 +135,7 @@ def _check_aligned_series(coarse_list, targets, t_d):
 
 
 def predict_stage2(stage2: TrainedModel, coarse: DistanceSeries, k: int = DEFAULT_K, t_d: float = DEFAULT_T_D) -> DistanceSeries:
-    raw = nn_core.forward(stage2, stage2_windows(coarse, k), mode="infer")[:, 0]
+    raw = nn_core.forward(stage2, stage2_windows(coarse, k))[:, 0]
     return DistanceSeries(
         clip_id=coarse.clip_id,
         values=np.clip(raw, 0.0, t_d),

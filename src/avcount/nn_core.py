@@ -5,12 +5,25 @@ activation, the non-default order); the output layer is linear. Losses are
 MSE or L1 plus an L2 penalty on dense weight matrices only. Everything is
 float64 and deterministic given the spec seed.
 
+Training keeps parameters flat: ``Adam`` moves every trainable block (dense
+weights and bias, batch-norm gamma and beta) into one float64 vector, layer
+by layer in ``params()`` order, and rebinds each layer attribute to a
+reshaped view into it. Gradients and both Adam moments are vectors of the
+same layout, so the backward pass writes gradients in place and one Adam
+step is a dozen whole-vector operations. Batch-norm running statistics are
+not trained and stay separate arrays. The layout lives only in memory:
+checkpoints store named blocks, so a bundle's bytes do not depend on it.
+The deep counter (``deepcount``) trains through the same ``Adam``,
+``run_epochs`` and dense forward/backward.
+
 Checkpoints use a shared container (magic ``AVCNN1``, canonical JSON spec,
 named float64 parameter blocks) that other model kinds reuse with their own
 spec block.
 """
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -26,7 +39,38 @@ _MAGIC = b"AVCNN1"
 
 
 class NumericError(Exception):
-    """Training produced a non-finite loss; the run is aborted."""
+    """Training produced a non-finite loss; the run is aborted.
+
+    A trainer sets ``epoch`` and ``batch`` (both 1-based) to where the loss
+    went non-finite; a bare loss evaluation leaves them None.
+    """
+
+    def __init__(self, message, epoch=None, batch=None):
+        super().__init__(message)
+        self.epoch = epoch
+        self.batch = batch
+
+
+def check_int(name, value, minimum=None):
+    """Reject anything but an integer (bool included) below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name, value, low=None, high=None, positive=False):
+    """Reject anything but a finite real number (bool included) out of range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,19 +86,20 @@ class NetworkSpec:
     bn_epsilon: float = 1e-3
 
     def __post_init__(self):
+        for s in self.layer_sizes:
+            check_int("layer size", s, 1)
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
         if self.loss not in ("mse", "l1"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.l2_factor < 0:
-            raise ValueError("l2_factor must be nonnegative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_real("l2_factor", self.l2_factor, low=0.0)
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_real("learning_rate", self.learning_rate, positive=True)
+        check_int("seed", self.seed, 0)
+        check_real("bn_momentum", self.bn_momentum, low=0.0, high=1.0)
+        check_real("bn_epsilon", self.bn_epsilon, positive=True)
 
 
 class DenseLayer:
@@ -104,6 +149,191 @@ def init_model(spec: NetworkSpec, rng=None) -> TrainedModel:
     return TrainedModel(spec=spec, layers=layers)
 
 
+# --- flat parameters and Adam -----------------------------------------------
+
+
+def param_views(layers, flat=None):
+    """Views into ``flat`` (a new vector when None) shaped like each layer's
+    trainable blocks.
+
+    The layout is layer by layer in ``params()`` order; the result is a list
+    parallel to ``layers`` of name -> view dicts.
+    """
+    if flat is None:
+        flat = np.empty(n_params(layers))
+    views, pos = [], 0
+    for layer in layers:
+        block = {}
+        for name, p in layer.params().items():
+            block[name] = flat[pos : pos + p.size].reshape(p.shape)
+            pos += p.size
+        views.append(block)
+    return views
+
+
+def n_params(layers) -> int:
+    return sum(p.size for layer in layers for p in layer.params().values())
+
+
+class Adam:
+    """Adam over every trainable block of ``layers``, held as one flat vector.
+
+    Construction copies the blocks into ``params`` and rebinds each layer
+    attribute to its view, so the layers train in place. ``grad`` has the
+    same layout and ``grads`` holds its per-block views: the backward pass
+    writes into those and ``step`` reads ``grad``.
+    """
+
+    def __init__(self, layers):
+        self.params = np.empty(n_params(layers))
+        for layer, views in zip(layers, param_views(layers, self.params)):
+            for name, view in views.items():
+                view[...] = getattr(layer, name)
+                setattr(layer, name, view)
+        self.grad = np.zeros_like(self.params)
+        self.grads = param_views(layers, self.grad)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self._a = np.empty_like(self.params)
+        self._b = np.empty_like(self.params)
+        self.t = 0
+
+    def step(self, lr):
+        """One update from ``grad``, with the textbook operation order.
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+        p -= lr (m / c1) / (sqrt(v / c2) + eps).
+        """
+        self.t += 1
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
+        g, m, v, a, b = self.grad, self.m, self.v, self._a, self._b
+        m *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=a)
+        m += a
+        v *= ADAM_BETA2
+        np.square(g, out=a)
+        a *= 1 - ADAM_BETA2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        self.params -= a
+
+
+def run_epochs(rng, n, epochs, batch_size, adam, lr, batch_loss):
+    """Minibatch Adam: yields the mean training loss of each epoch.
+
+    Each epoch visits the n rows in a fresh ``rng.permutation`` order, in
+    batches of ``batch_size``. ``batch_loss(sel)`` returns the batch's mean
+    loss with its gradient written into ``adam.grads``. A non-finite loss
+    re-raises as ``NumericError`` carrying the epoch and batch.
+    """
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for batch, start in enumerate(range(0, n, batch_size), 1):
+            sel = order[start : start + batch_size]
+            try:
+                loss = batch_loss(sel)
+            except NumericError as exc:
+                raise NumericError(
+                    f"{exc} at epoch {epoch}, batch {batch}", epoch, batch
+                ) from None
+            adam.step(lr)
+            epoch_loss += loss * sel.size
+        yield epoch_loss / n
+
+
+# --- forward and backward ---------------------------------------------------
+
+
+def forward_layers(layers, x, train_mode, update_running=False, caches=None):
+    """Run batch ``x`` through dense / batch-norm ``layers``.
+
+    A dense layer is followed by ReLU unless it is the last one. With
+    ``caches`` (a list), each layer appends what ``backward_layers`` needs.
+    ``x`` itself is never written to.
+    """
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        if isinstance(layer, DenseLayer):
+            z = np.matmul(x, layer.weights.T)
+            z += layer.bias
+            if caches is not None:
+                caches.append((x, z > 0 if i < last else None))
+            if i < last:
+                np.maximum(z, 0.0, out=z)
+            x = z
+            continue
+        # x is the previous dense layer's output, owned by this pass, so
+        # the centring, scaling and x_hat all happen in its buffer
+        if train_mode:
+            n = x.shape[0]
+            mu = np.add.reduce(x, axis=0)
+            mu /= n  # x.mean(axis=0)
+            d = np.subtract(x, mu, out=x)
+            var = np.add.reduce(np.square(d), axis=0)
+            var /= n  # x.var(axis=0), which also squares x - mean
+            if update_running:
+                m = layer.momentum
+                layer.running_mean = m * layer.running_mean + (1 - m) * mu
+                layer.running_var = m * layer.running_var + (1 - m) * var
+        else:
+            var = layer.running_var
+            d = np.subtract(x, layer.running_mean, out=x)
+        inv_std = 1.0 / np.sqrt(var + layer.epsilon)
+        x_hat = np.multiply(d, inv_std, out=d)
+        if caches is not None:
+            caches.append((x_hat, inv_std))
+        x = layer.gamma * x_hat
+        x += layer.beta
+    return x
+
+
+def backward_layers(layers, caches, g, grads, l2=0.0, input_grad=False):
+    """Backprop ``g`` (loss gradient at the output) through ``layers``.
+
+    Writes each block's gradient into ``grads`` (a list parallel to
+    ``layers`` of name -> array dicts). Batch norm backprop goes through the
+    batch statistics. Returns the gradient at the input when ``input_grad``
+    is set; otherwise layer 0 skips it, since no parameter gradient reads it.
+    ``g`` and the cached x_hat buffers are consumed.
+    """
+    for i in range(len(layers) - 1, -1, -1):
+        layer, out = layers[i], grads[i]
+        if isinstance(layer, DenseLayer):
+            x_in, relu_mask = caches[i]
+            if relu_mask is not None:
+                g *= relu_mask
+            np.matmul(g.T, x_in, out=out["weights"])
+            if l2 > 0:
+                out["weights"] += 2.0 * l2 * layer.weights
+            np.add.reduce(g, axis=0, out=out["bias"])
+            if i > 0 or input_grad:
+                g = g @ layer.weights
+            continue
+        x_hat, inv_std = caches[i]
+        n = g.shape[0]
+        t = g * x_hat
+        np.add.reduce(t, axis=0, out=out["gamma"])
+        np.add.reduce(g, axis=0, out=out["beta"])
+        dx_hat = np.multiply(g, layer.gamma, out=g)
+        sum_dx_hat = np.add.reduce(dx_hat, axis=0)
+        sum_dx_hat_x_hat = np.add.reduce(np.multiply(dx_hat, x_hat, out=t), axis=0)
+        # batch-statistics backprop, standard closed form, in place:
+        # inv_std / n * (n * dx_hat - sum(dx_hat) - x_hat * sum(dx_hat * x_hat))
+        dx_hat *= n
+        dx_hat -= sum_dx_hat
+        dx_hat -= np.multiply(x_hat, sum_dx_hat_x_hat, out=x_hat)
+        dx_hat *= inv_std / n
+        g = dx_hat
+    return g if input_grad else None
+
+
 def _forward_pass(model, batch, train_mode, update_running=False, keep_cache=False):
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.spec.layer_sizes[0]:
@@ -112,43 +342,12 @@ def _forward_pass(model, batch, train_mode, update_running=False, keep_cache=Fal
             f"{model.spec.layer_sizes[0]}"
         )
     caches = [] if keep_cache else None
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, DenseLayer):
-            z = x @ layer.weights.T + layer.bias
-            if i < last:
-                a = np.maximum(z, 0.0)
-                if keep_cache:
-                    caches.append(("dense_relu", x, z > 0))
-                x = a
-            else:
-                if keep_cache:
-                    caches.append(("dense", x, None))
-                x = z
-        else:
-            if train_mode:
-                mu = x.mean(axis=0)
-                var = x.var(axis=0)
-                if update_running:
-                    m = layer.momentum
-                    layer.running_mean = m * layer.running_mean + (1 - m) * mu
-                    layer.running_var = m * layer.running_var + (1 - m) * var
-            else:
-                mu = layer.running_mean
-                var = layer.running_var
-            inv_std = 1.0 / np.sqrt(var + layer.epsilon)
-            x_hat = (x - mu) * inv_std
-            if keep_cache:
-                caches.append(("bn", x_hat, inv_std, train_mode))
-            x = layer.gamma * x_hat + layer.beta
-    return x, caches
+    return forward_layers(model.layers, x, train_mode, update_running, caches), caches
 
 
-def forward(model: TrainedModel, batch, mode: str = "infer") -> np.ndarray:
-    """Run the network; ``train`` normalizes with batch statistics."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    out, _ = _forward_pass(model, batch, train_mode=(mode == "train"))
+def forward(model: TrainedModel, batch) -> np.ndarray:
+    """Run the network in inference mode (batch norm on running statistics)."""
+    out, _ = _forward_pass(model, batch, train_mode=False)
     return out
 
 
@@ -160,13 +359,14 @@ def _data_loss_and_grad(pred, targets, kind):
     return float(np.mean(np.abs(diff))), np.sign(diff) / n
 
 
-def loss_and_gradients(model: TrainedModel, batch, targets, update_running=False):
+def loss_and_gradients(model: TrainedModel, batch, targets, update_running=False, grads=None):
     """Loss (data + L2 on dense weights) and backprop gradients.
 
-    Gradients come back as a list parallel to model.layers of name->array
-    dicts. Batch norm backprop goes through the batch statistics. Running
-    statistics are only touched when update_running is set (the train loop
-    does; gradient checks must not).
+    Gradients are written into ``grads`` (a list parallel to model.layers
+    of name->array dicts, such as ``Adam.grads``; fresh arrays when None)
+    and returned. Batch norm backprop goes through the batch statistics.
+    Running statistics are only touched when update_running is set (the
+    train loop does; gradient checks must not).
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -184,60 +384,12 @@ def loss_and_gradients(model: TrainedModel, batch, targets, update_running=False
             for layer in model.layers
             if isinstance(layer, DenseLayer)
         )
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError(f"non-finite loss {loss}")
-
-    grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        cache = caches[i]
-        if isinstance(layer, DenseLayer):
-            kind, x_in, relu_mask = cache
-            if kind == "dense_relu":
-                g = g * relu_mask
-            gw = g.T @ x_in
-            if l2 > 0:
-                gw = gw + 2.0 * l2 * layer.weights
-            grads[i] = {"weights": gw, "bias": g.sum(axis=0)}
-            if i > 0:  # no gradient reads the input's own gradient
-                g = g @ layer.weights
-        else:
-            _, x_hat, inv_std, _ = cache
-            n = g.shape[0]
-            dgamma = np.sum(g * x_hat, axis=0)
-            dbeta = np.sum(g, axis=0)
-            dx_hat = g * layer.gamma
-            # batch-statistics backprop, standard closed form
-            g = (
-                inv_std
-                / n
-                * (n * dx_hat - dx_hat.sum(axis=0) - x_hat * np.sum(dx_hat * x_hat, axis=0))
-            )
-            grads[i] = {"gamma": dgamma, "beta": dbeta}
+    if grads is None:
+        grads = param_views(model.layers)
+    backward_layers(model.layers, caches, g, grads, l2)
     return loss, grads
-
-
-class _AdamState:
-    def __init__(self, layers):
-        self.m = [
-            {k: np.zeros_like(v) for k, v in layer.params().items()} for layer in layers
-        ]
-        self.v = [
-            {k: np.zeros_like(v) for k, v in layer.params().items()} for layer in layers
-        ]
-        self.t = 0
-
-    def step(self, layers, grads, lr):
-        self.t += 1
-        c1 = 1.0 - ADAM_BETA1**self.t
-        c2 = 1.0 - ADAM_BETA2**self.t
-        for layer, g, m, v in zip(layers, grads, self.m, self.v):
-            for name, grad in g.items():
-                m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * grad
-                v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * grad**2
-                update = lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
-                param = getattr(layer, name)
-                setattr(layer, name, param - update)
 
 
 def train(spec: NetworkSpec, train_x, train_y, val_x=None, val_y=None) -> TrainedModel:
@@ -256,21 +408,21 @@ def train(spec: NetworkSpec, train_x, train_y, val_x=None, val_y=None) -> Traine
         raise ValueError("train_x and train_y row counts differ")
     rng = np.random.default_rng(spec.seed)
     model = init_model(spec, rng)
-    adam = _AdamState(model.layers)
+    adam = Adam(model.layers)
+
+    def batch_loss(sel):
+        loss, _ = loss_and_gradients(
+            model, train_x[sel], train_y[sel], update_running=True, grads=adam.grads
+        )
+        return loss
+
     n = train_x.shape[0]
-    for _ in range(spec.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, spec.batch_size):
-            sel = order[start : start + spec.batch_size]
-            loss, grads = loss_and_gradients(
-                model, train_x[sel], train_y[sel], update_running=True
-            )
-            adam.step(model.layers, grads, spec.learning_rate)
-            epoch_loss += loss * sel.size
-        model.train_loss_history.append(epoch_loss / n)
+    for epoch_loss in run_epochs(
+        rng, n, spec.epochs, spec.batch_size, adam, spec.learning_rate, batch_loss
+    ):
+        model.train_loss_history.append(epoch_loss)
         if val_x is not None and val_y is not None:
-            pred = forward(model, val_x, mode="infer")
+            pred = forward(model, val_x)
             vy = np.asarray(val_y, dtype=np.float64)
             if vy.ndim == 1:
                 vy = vy[:, None]
@@ -339,17 +491,37 @@ def read_checkpoint(path):
         raise DataError(f"{path}: corrupt checkpoint ({exc!r})") from exc
 
 
-def save_model(model: TrainedModel, path):
+def _model_blocks(model: TrainedModel):
+    """(checkpoint name, array) for every parameter and running statistic."""
     blocks = []
     for i, layer in enumerate(model.layers):
         if isinstance(layer, DenseLayer):
-            blocks.append((f"layer{i}.weights", layer.weights))
-            blocks.append((f"layer{i}.bias", layer.bias))
+            names = ("weights", "bias")
         else:
-            blocks.append((f"layer{i}.gamma", layer.gamma))
-            blocks.append((f"layer{i}.beta", layer.beta))
-            blocks.append((f"layer{i}.running_mean", layer.running_mean))
-            blocks.append((f"layer{i}.running_var", layer.running_var))
+            names = ("gamma", "beta", "running_mean", "running_var")
+        blocks += [(f"layer{i}.{name}", getattr(layer, name)) for name in names]
+    return blocks
+
+
+def copy_blocks(path, named: dict, targets):
+    """Copy each checkpoint block into its (name, array) target in place.
+
+    Raises DataError naming a block that is missing or has another shape.
+    """
+    for name, target in targets:
+        if name not in named:
+            raise DataError(f"{path}: missing parameter block {name!r}")
+        block = named[name]
+        if block.shape != target.shape:
+            raise DataError(
+                f"{path}: parameter block {name!r} has shape {block.shape}, "
+                f"expected {target.shape}"
+            )
+        target[...] = block
+
+
+def save_model(model: TrainedModel, path):
+    blocks = _model_blocks(model)
     blocks.append(("train_loss_history", np.asarray(model.train_loss_history)))
     write_checkpoint(path, "dense", asdict(model.spec), blocks)
 
@@ -358,20 +530,12 @@ def load_model(path) -> TrainedModel:
     kind, spec_dict, blocks = read_checkpoint(path)
     if kind != "dense":
         raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'dense'")
-    spec = NetworkSpec(**spec_dict)
+    try:
+        spec = NetworkSpec(**spec_dict)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: invalid dense spec ({exc})") from exc
     model = init_model(spec)
     named = dict(blocks)
-    for i, layer in enumerate(model.layers):
-        try:
-            if isinstance(layer, DenseLayer):
-                layer.weights = named[f"layer{i}.weights"].copy()
-                layer.bias = named[f"layer{i}.bias"].copy()
-            else:
-                layer.gamma = named[f"layer{i}.gamma"].copy()
-                layer.beta = named[f"layer{i}.beta"].copy()
-                layer.running_mean = named[f"layer{i}.running_mean"].copy()
-                layer.running_var = named[f"layer{i}.running_var"].copy()
-        except KeyError as exc:
-            raise DataError(f"{path}: missing parameter block {exc}") from exc
+    copy_blocks(path, named, _model_blocks(model))
     model.train_loss_history = list(named.get("train_loss_history", []))
     return model

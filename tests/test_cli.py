@@ -113,6 +113,34 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"k": "15"},
+            {"t_d": "0.75"},
+            {"seed": 1.5},
+            {"epochs": 1.5},
+            {"seed": True},
+            {"split_ratio": 1.0},
+            {"n_runs": 0},
+            {"stage1": {"epochs": 1.5}},
+            {"stage2": {"batch_size": True}},
+            {"stage1": {"learning_rate": "0.001"}},
+            {"deep": {"epochs": 1.5}},
+            {"deep": {"conv_layers": [[16, 7.5, 2]]}},
+            {"deep": {"learning_rate": 0}},
+        ],
+        ids=repr,
+    )
+    def test_mistyped_config_value_is_2(self, cfg, corpus_dir, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["train", "--config", str(path), "--data", corpus_dir, "--out", str(tmp_path / "m")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid config value") and "Traceback" not in err
+        assert not (tmp_path / "m").exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["train", "--help"]) == 0

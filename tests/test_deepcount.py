@@ -214,6 +214,18 @@ class TestCheckpoint:
         assert conv_forward(back, x) == conv_forward(counter, x)
         assert back.train_loss_history == counter.train_loss_history
 
+    def test_block_of_wrong_shape_rejected(self, tmp_path):
+        from avcount import nn_core
+
+        counter = init_counter(ConvCounterSpec(conv_layers=((3, 5, 2),), head_sizes=(4,), epochs=1))
+        path = tmp_path / "deep.ckpt"
+        save_counter(counter, path)
+        kind, spec, blocks = nn_core.read_checkpoint(path)
+        blocks = [(n, np.zeros((3, 1, 7)) if n == "conv0.weights" else a) for n, a in blocks]
+        nn_core.write_checkpoint(path, kind, spec, blocks)
+        with pytest.raises(DataError, match=r"'conv0.weights' has shape \(3, 1, 7\), expected \(3, 1, 5\)"):
+            load_counter(path)
+
     def test_wrong_kind_rejected(self, tmp_path):
         from avcount import nn_core
 
@@ -223,6 +235,20 @@ class TestCheckpoint:
         nn_core.save_model(model, path)
         with pytest.raises(DataError):
             load_counter(path)
+
+
+def test_divergence_names_epoch_and_batch():
+    from avcount.nn_core import NumericError
+
+    rng = np.random.default_rng(6)
+    series = [rng.uniform(0, 0.75, size=40) for _ in range(6)]
+    spec = ConvCounterSpec(
+        conv_layers=((3, 5, 2),), loss="l2", epochs=3, batch_clips=2, learning_rate=1e200
+    )
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+        train_counter(spec, series, [1, 2, 0, 1, 1, 3])
+    assert (info.value.epoch, info.value.batch) == (1, 2)
+    assert "at epoch 1, batch 2" in str(info.value)
 
 
 def test_spec_validation():

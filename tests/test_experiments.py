@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,15 @@ class TestMultiRun:
         b = single_run(tiny_config, dataset, 5)
         assert a.reports["VCNN"] == b.reports["VCNN"]
         assert a.stage2_mse == b.stage2_mse
+
+    def test_diverged_runs_name_epoch_and_batch(self, tiny_config):
+        diverging = replace(tiny_config, stage1_overrides={"learning_rate": 1e200})
+        with np.errstate(all="ignore"):
+            results, failures, bands = multi_run(diverging)
+        assert results == [] and bands == {}
+        assert [seed for seed, _ in failures] == [0, 1]
+        for _, message in failures:
+            assert re.search(r"at epoch \d+, batch \d+$", message), message
 
     def test_run_seeds_are_consecutive(self, tiny_config):
         results, _, _ = multi_run(tiny_config)

@@ -3,14 +3,20 @@ import pytest
 
 from avcount.dataio import DataError
 from avcount.nn_core import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    Adam,
     BatchNormLayer,
     DenseLayer,
     NetworkSpec,
     NumericError,
+    _forward_pass,
     forward,
     init_model,
     load_model,
     loss_and_gradients,
+    param_views,
     save_model,
     train,
 )
@@ -62,8 +68,9 @@ class TestForward:
                 layer.weights = np.zeros_like(layer.weights)
         x = np.random.default_rng(0).normal(size=(5, 4))
         # batch norm of a zero batch stays zero (beta is zero)
-        assert np.allclose(forward(model, x, "infer"), 0.0)
-        assert np.allclose(forward(model, x, "train"), 0.0)
+        assert np.allclose(forward(model, x), 0.0)
+        train_out, _ = _forward_pass(model, x, train_mode=True)
+        assert np.allclose(train_out, 0.0)
 
     def test_identity_dense_layer(self):
         spec = NetworkSpec(layer_sizes=(3, 3), epochs=1)
@@ -71,7 +78,7 @@ class TestForward:
         model.layers[0].weights = np.eye(3)
         model.layers[0].bias = np.zeros(3)
         x = np.random.default_rng(1).normal(size=(7, 3))
-        assert np.array_equal(forward(model, x, "infer"), x)
+        assert np.array_equal(forward(model, x), x)
 
     def test_infer_matches_reimplementation(self):
         spec = NetworkSpec(layer_sizes=(6, 5, 4, 2), epochs=1, seed=9)
@@ -85,14 +92,14 @@ class TestForward:
                 layer.gamma = rng.normal(1.0, 0.2, size=layer.gamma.shape)
                 layer.beta = rng.normal(size=layer.beta.shape)
         x = rng.normal(size=(11, 6))
-        got = forward(model, x, "infer")
+        got = forward(model, x)
         want = reimplemented_infer(model, x)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
     def test_shape_mismatch_rejected(self):
         model = init_model(NetworkSpec(layer_sizes=(4, 2), epochs=1))
         with pytest.raises(ValueError):
-            forward(model, np.zeros((3, 5)), "infer")
+            forward(model, np.zeros((3, 5)))
 
     def test_relu_zeroes_negative_preactivations(self):
         spec = NetworkSpec(layer_sizes=(2, 2, 1), epochs=1)
@@ -104,7 +111,7 @@ class TestForward:
         bn.running_var = np.ones(2) - bn.epsilon
         model.layers[2].weights = np.array([[1.0, 1.0]])
         model.layers[2].bias = np.zeros(1)
-        out = forward(model, np.array([[-5.0, -3.0]]), "infer")
+        out = forward(model, np.array([[-5.0, -3.0]]))
         assert out[0, 0] == 0.0
 
 
@@ -206,7 +213,7 @@ class TestTrain:
             layer_sizes=(1, 8, 1), epochs=200, batch_size=64, seed=0, l2_factor=0.0
         )
         model = train(spec, x, y)
-        pred = forward(model, x, "infer")
+        pred = forward(model, x)
         assert np.mean((pred - y) ** 2) < 1e-3
 
     def test_same_seed_identical_history(self):
@@ -245,6 +252,17 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(spec, np.zeros((0, 2)), np.zeros((0, 1)))
 
+    def test_divergence_names_epoch_and_batch(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(64, 3))
+        y = rng.normal(size=(64, 1))
+        # one Adam step moves every weight by about the learning rate
+        spec = NetworkSpec(layer_sizes=(3, 4, 1), epochs=3, batch_size=16, learning_rate=1e200)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            train(spec, x, y)
+        assert (info.value.epoch, info.value.batch) == (1, 2)
+        assert "at epoch 1, batch 2" in str(info.value)
+
     def test_running_stats_updated_during_training(self):
         rng = np.random.default_rng(4)
         x = rng.normal(5.0, 2.0, size=(200, 2))
@@ -276,7 +294,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_model(model, path)
         back = load_model(path)
-        assert np.array_equal(forward(model, x, "infer"), forward(back, x, "infer"))
+        assert np.array_equal(forward(model, x), forward(back, x))
         assert back.train_loss_history == model.train_loss_history
 
     def test_corrupted_magic_rejected(self, tmp_path):
@@ -297,6 +315,30 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_model(path)
 
+    def test_block_of_wrong_shape_rejected(self, tmp_path):
+        from avcount import distreg
+        from avcount.nn_core import read_checkpoint, write_checkpoint
+
+        model = init_model(distreg.stage2_spec(k=15, epochs=1))
+        path = tmp_path / "stage2.ckpt"
+        save_model(model, path)
+        kind, spec, blocks = read_checkpoint(path)
+        blocks = [(n, np.zeros((31, 7)) if n == "layer0.weights" else a) for n, a in blocks]
+        write_checkpoint(path, kind, spec, blocks)
+        with pytest.raises(DataError, match=r"'layer0.weights' has shape \(31, 7\), expected \(31, 31\)"):
+            load_model(path)
+
+    def test_spec_of_wrong_type_rejected(self, tmp_path):
+        from avcount.nn_core import read_checkpoint, write_checkpoint
+
+        model, _ = self._trained()
+        path = tmp_path / "m.ckpt"
+        save_model(model, path)
+        kind, spec, blocks = read_checkpoint(path)
+        write_checkpoint(path, kind, {**spec, "epochs": 1.5}, blocks)
+        with pytest.raises(DataError, match="epochs"):
+            load_model(path)
+
     @pytest.mark.parametrize("header", [b"{}", b'{"kind": "dense"}', b"[1]", b'"x"'])
     def test_header_without_kind_and_spec_rejected(self, tmp_path, header):
         import struct
@@ -305,6 +347,42 @@ class TestCheckpoint:
         path.write_bytes(b"AVCNN1" + struct.pack("<I", len(header)) + header + struct.pack("<I", 0))
         with pytest.raises(DataError):
             load_model(path)
+
+
+class TestAdam:
+    def test_flat_step_equals_per_array_formula(self):
+        """The fused step against the textbook update, block by block."""
+        rng = np.random.default_rng(12)
+        model = init_model(NetworkSpec(layer_sizes=(6, 5, 3, 1), epochs=1, seed=3))
+        adam = Adam(model.layers)
+        ref_p = [{k: v.copy() for k, v in layer.params().items()} for layer in model.layers]
+        ref_m = [{k: np.zeros_like(v) for k, v in d.items()} for d in ref_p]
+        ref_v = [{k: np.zeros_like(v) for k, v in d.items()} for d in ref_p]
+        lr = 3e-3
+        for t in range(1, 8):
+            adam.grad[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=adam.grad.size)
+            adam.step(lr)
+            c1 = 1.0 - ADAM_BETA1**t
+            c2 = 1.0 - ADAM_BETA2**t
+            grads = param_views(model.layers, adam.grad)
+            for layer, p, m, v, g in zip(model.layers, ref_p, ref_m, ref_v, grads):
+                for name in p:
+                    m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g[name]
+                    v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g[name] ** 2
+                    p[name] = p[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+                    assert np.array_equal(getattr(layer, name), p[name])
+
+    def test_layers_become_views_of_the_flat_vector(self):
+        model = init_model(NetworkSpec(layer_sizes=(4, 3, 1), epochs=1, seed=1))
+        before = [{k: v.copy() for k, v in layer.params().items()} for layer in model.layers]
+        adam = Adam(model.layers)
+        assert adam.params.size == sum(
+            v.size for layer in model.layers for v in layer.params().values()
+        )
+        for layer, old in zip(model.layers, before):
+            for name, value in layer.params().items():
+                assert np.shares_memory(value, adam.params)
+                assert np.array_equal(value, old[name])
 
 
 def test_spec_validation():
@@ -316,3 +394,14 @@ def test_spec_validation():
         NetworkSpec(layer_sizes=(4, 1), epochs=0)
     with pytest.raises(ValueError):
         NetworkSpec(layer_sizes=(4, 1), epochs=1, l2_factor=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 1.5), ("epochs", True), ("batch_size", "256"), ("seed", 2.0),
+     ("learning_rate", "0.001"), ("l2_factor", None), ("layer_sizes", (4.0, 1))],
+)
+def test_spec_rejects_wrong_types(field, value):
+    kwargs = {"layer_sizes": (4, 1), "epochs": 1, field: value}
+    with pytest.raises(TypeError):
+        NetworkSpec(**kwargs)
