@@ -4,7 +4,10 @@ gridsearch, experiment.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure. Every
 failure prints a one-line diagnostic on stderr. Outputs carry no
 timestamps, so any subcommand is byte-for-byte reproducible from its
-config and seed (AVC_SEED overrides the configured seed).
+config and seed (AVC_SEED overrides the configured seed) for a fixed BLAS
+thread count: threaded matrix products round differently, so bundles,
+features and experiment reports made under another thread count may
+differ in the last bits.
 """
 
 import argparse

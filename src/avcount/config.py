@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from . import distreg
 from .dataio import DEFAULT_T_D, DataError
 from .deepcount import ConvCounterSpec
-from .experiments import GridSpec
+from .experiments import GridSpec, check_variant
 from .features import SpectrogramConfig
 from .nn_core import check_int, check_real
 from .peakdet import DetectorSpec, SmootherSpec
@@ -178,6 +178,10 @@ def parse_config(raw: dict) -> ToolConfig:
                 raise ValueError(f"split_ratio must be in (0, 1), got {raw['split_ratio']}")
             cfg.split_ratio = raw["split_ratio"]
         if "variants" in raw:
+            if not isinstance(raw["variants"], (list, tuple)):
+                raise TypeError(f"variants must be a list of names, got {raw['variants']!r}")
+            for name in raw["variants"]:
+                check_variant(name)
             cfg.variants = tuple(raw["variants"])
         cfg.stage_specs(cfg.seed)  # the stage sections must make valid specs
     except (TypeError, ValueError) as exc:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SAMPLE_RATE = 44100
 DEFAULT_T_D = 0.75  # distance clip threshold, seconds
 
 
@@ -98,14 +97,10 @@ class DistanceSeries:
 class DatasetSplit:
     train_ids: tuple
     val_ids: tuple
-    test_ids: tuple = ()
-    seed: int = 0
 
     def __post_init__(self):
-        groups = (set(self.train_ids), set(self.val_ids), set(self.test_ids))
-        total = len(self.train_ids) + len(self.val_ids) + len(self.test_ids)
-        if len(groups[0] | groups[1] | groups[2]) != total:
-            raise ValueError("split groups must be pairwise disjoint")
+        if len(set(self.train_ids) | set(self.val_ids)) != len(self.train_ids) + len(self.val_ids):
+            raise ValueError("train and val ids must be distinct")
 
 
 # --- WAV I/O ------------------------------------------------------------
@@ -170,6 +165,8 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
         if bits != 32:
             raise DataError(f"unsupported float width {bits}")
         x = np.frombuffer(raw[: len(raw) // 4 * 4], dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(x)):  # integer PCM cannot hold NaN or infinity
+            raise DataError("audio holds non-finite samples (NaN or infinity)")
     elif bits == 8:
         x = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
         x = (x - 128.0) / 128.0
@@ -199,8 +196,6 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
         x = x.reshape(-1, n_channels).mean(axis=1)
         if x.size == 0:
             raise DataError("zero-length audio")
-    if not np.all(np.isfinite(x)):
-        raise DataError("audio holds non-finite samples (NaN or infinity)")
     if clip_id is None:
         clip_id = os.path.splitext(os.path.basename(str(path)))[0]
     return AudioClip(samples=x, sample_rate=sample_rate, id=clip_id)
@@ -382,9 +377,4 @@ def split_dataset(ids, ratio: float, seed: int) -> DatasetSplit:
     n_train = int(np.floor(ratio * len(ids) + 0.5))
     n_train = min(max(n_train, 1), len(ids) - 1)
     shuffled = [ids[i] for i in order]
-    return DatasetSplit(
-        train_ids=tuple(shuffled[:n_train]),
-        val_ids=tuple(shuffled[n_train:]),
-        test_ids=(),
-        seed=seed,
-    )
+    return DatasetSplit(train_ids=tuple(shuffled[:n_train]), val_ids=tuple(shuffled[n_train:]))

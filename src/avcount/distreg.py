@@ -10,7 +10,7 @@ distances are clamped to [0, t_d].
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,11 +25,13 @@ from .features import (
     extract_features,
     standardize,
 )
-from .nn_core import NetworkSpec, TrainedModel
+from .nn_core import NetworkSpec, TrainedModel, check_int, check_real
 
 DEFAULT_K = 15
 STAGE1_L2 = 1e-4
 STAGE2_L2 = 5e-6
+_BUNDLE_KEYS = {"t_d", "k", "q", "stride", "spectrogram"}
+_SPECTROGRAM_KEYS = {f.name for f in fields(SpectrogramConfig)}
 
 
 def stage1_spec(input_dim: int = 528, epochs: int = 100, seed: int = 0, **kw) -> NetworkSpec:
@@ -66,8 +68,16 @@ class RegressionPipeline:
     t_d: float = DEFAULT_T_D
 
     def __post_init__(self):
+        width = (2 * self.q + 1) * self.spectrogram.n_mel
+        if self.stage1.spec.layer_sizes[0] != width:
+            raise ValueError(f"stage1 input size must equal (2q+1)*n_mel = {width}")
         if self.stage2.spec.layer_sizes[0] != 2 * self.k + 1:
             raise ValueError("stage2 input size must equal 2k+1")
+        if self.feature_stats.mean.shape != (width,):
+            raise ValueError(
+                f"feature statistics have shape {self.feature_stats.mean.shape}, "
+                f"expected ({width},)"
+            )
 
 
 def _check_aligned(features, targets, t_d):
@@ -215,21 +225,19 @@ def save_pipeline(pipeline: RegressionPipeline, directory):
         "k": pipeline.k,
         "q": pipeline.q,
         "stride": pipeline.stride,
-        "spectrogram": {
-            "window_len": pipeline.spectrogram.window_len,
-            "hop": pipeline.spectrogram.hop,
-            "n_mel": pipeline.spectrogram.n_mel,
-            "f_min": pipeline.spectrogram.f_min,
-            "f_max": pipeline.spectrogram.f_max,
-            "log_floor": pipeline.spectrogram.log_floor,
-            "sample_rate": pipeline.spectrogram.sample_rate,
-        },
+        "spectrogram": asdict(pipeline.spectrogram),
     }
     with open(os.path.join(directory, "pipeline.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
 
 
 def load_pipeline(directory) -> RegressionPipeline:
+    """Load a bundle written by save_pipeline.
+
+    A bundle with a missing or malformed file, settings of the wrong type,
+    statistics without ``mean`` and ``std``, or parts whose widths disagree
+    raises DataError.
+    """
     try:
         with open(os.path.join(directory, "pipeline.json")) as fh:
             meta = json.load(fh)
@@ -243,14 +251,27 @@ def load_pipeline(directory) -> RegressionPipeline:
     if kind != "feature_stats":
         raise DataError(f"stats.bin has kind {kind!r}")
     named = dict(blocks)
-    stats = FeatureStats(mean=named["mean"], std=named["std"])
-    return RegressionPipeline(
-        stage1=stage1,
-        stage2=stage2,
-        feature_stats=stats,
-        spectrogram=SpectrogramConfig(**meta["spectrogram"]),
-        q=int(meta["q"]),
-        stride=int(meta["stride"]),
-        k=int(meta["k"]),
-        t_d=float(meta["t_d"]),
-    )
+    if set(named) != {"mean", "std"}:
+        raise DataError(f"stats.bin holds blocks {sorted(named)}, expected ['mean', 'std']")
+    try:
+        if not isinstance(meta, dict) or set(meta) != _BUNDLE_KEYS:
+            raise ValueError(f"pipeline.json must be an object with keys {sorted(_BUNDLE_KEYS)}")
+        spectrogram = meta["spectrogram"]
+        if not isinstance(spectrogram, dict) or set(spectrogram) != _SPECTROGRAM_KEYS:
+            raise ValueError(f"spectrogram must be an object with keys {sorted(_SPECTROGRAM_KEYS)}")
+        check_int("q", meta["q"], 0)
+        check_int("stride", meta["stride"], 1)
+        check_int("k", meta["k"], 0)
+        check_real("t_d", meta["t_d"], positive=True)
+        return RegressionPipeline(
+            stage1=stage1,
+            stage2=stage2,
+            feature_stats=FeatureStats(mean=named["mean"], std=named["std"]),
+            spectrogram=SpectrogramConfig(**spectrogram),
+            q=meta["q"],
+            stride=meta["stride"],
+            k=meta["k"],
+            t_d=float(meta["t_d"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"invalid pipeline bundle in {directory}: {exc}") from exc

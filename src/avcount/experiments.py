@@ -7,6 +7,7 @@ the deep counter. Each variant is pure data: a detector spec plus which
 predicted series it consumes.
 """
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -115,7 +116,29 @@ class EvalContext:
     detector: DetectorSpec = TUNED_DETECTORS["VCNN"]  # the VCNN variant's detector
 
 
+_PP_VARIANT = re.compile(r"VCNN_PP(\d+(?:\.\d+)?)")
+
+
+def check_variant(name):
+    """Raise ValueError unless ``name`` names a variant run_ablation knows.
+
+    Those are the TUNED_DETECTORS keys and VCNN_PP<n>, the prominence-only
+    detector at n percent of t_d with 0 < n <= 100.
+    """
+    if isinstance(name, str):
+        if name in TUNED_DETECTORS:
+            return
+        match = _PP_VARIANT.fullmatch(name)
+        if match and 0 < float(match.group(1)) <= 100:
+            return
+    raise ValueError(
+        f"unknown variant {name!r} (known: {', '.join(TUNED_DETECTORS)}, "
+        "VCNN_PP<n> with 0 < n <= 100)"
+    )
+
+
 def _variant_inputs(variant: str, ctx: EvalContext):
+    check_variant(variant)
     if variant == "VCNN":
         return ctx.detector, ctx.stage2
     if variant == "VCNN_S1":
@@ -126,10 +149,8 @@ def _variant_inputs(variant: str, ctx: EvalContext):
         if ctx.f0_stage2 is None:
             raise ValueError("VCNN_f0 needs the f_min=0 retrain in the context")
         return TUNED_DETECTORS["VCNN_f0"], ctx.f0_stage2
-    if variant.startswith("VCNN_PP"):
-        pct = float(variant[len("VCNN_PP") :])
-        return pp_detector(pct / 100.0), ctx.stage2
-    raise ValueError(f"unknown variant {variant!r}")
+    pct = float(variant[len("VCNN_PP") :])
+    return pp_detector(pct / 100.0), ctx.stage2
 
 
 def run_ablation(variant: str, ctx: EvalContext) -> MetricsReport:

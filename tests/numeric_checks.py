@@ -1,4 +1,12 @@
-"""Shared helpers for finite-difference gradient verification."""
+"""Shared test helpers: finite-difference gradient checks, one BLAS thread."""
+
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
 
 
 def fd_mismatch(fd, g, zero_tol=1e-7):
@@ -14,3 +22,24 @@ def fd_mismatch(fd, g, zero_tol=1e-7):
     if denom <= zero_tol:
         return 0.0
     return abs(fd - g) / denom
+
+
+@contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread; skip on any other BLAS."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            before = getter()
+            setter(1)
+            try:
+                yield
+            finally:
+                setter(before)
+            return
+    pytest.skip("golden digests are recorded for numpy's bundled OpenBLAS")

@@ -1,11 +1,14 @@
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from avcount.cli import build_parser, main
 from avcount.config import load_config, parse_config
 from avcount.dataio import DataError
+from avcount.nn_core import read_checkpoint, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -344,3 +347,78 @@ class TestPipelineCommands:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text("{}")
         assert main(["experiment", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "variants",
+        [[5], "VCNN", ["VCNN_PP0"], ["VCNN_PP101"], ["VCNN_PP"], ["VCNN_PPx"], ["VCNN_PP-5"], ["vcnn"], [["VCNN"]]],
+        ids=repr,
+    )
+    def test_unknown_variant_is_2_before_reading_audio(self, variants, corpus_dir, tmp_path, capsys, monkeypatch):
+        def no_audio(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr("avcount.experiments.load_corpus", no_audio)
+        out_dir = tmp_path / "exp"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(
+            json.dumps({"variants": variants, "paths": {"data_dir": corpus_dir, "out_dir": str(out_dir)}})
+        )
+        assert main(["experiment", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid config value") and "variant" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("variant", ["VCNN", "VCNN_S1", "VCNN_f0", "VCNN_PP1", "VCNN_PP7.5", "VCNN_PP100"])
+    def test_known_variant_accepted(self, variant):
+        assert parse_config({"variants": [variant]}).variants == (variant,)
+
+
+def _rewrite_json(name, edit):
+    def mutate(bundle):
+        path = bundle / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+    return mutate
+
+
+def _rewrite_stats(edit):
+    def mutate(bundle):
+        path = bundle / "stats.bin"
+        _, spec, blocks = read_checkpoint(path)
+        write_checkpoint(path, "feature_stats", spec, edit(dict(blocks)))
+
+    return mutate
+
+
+MALFORMED_BUNDLES = {
+    "pipeline {}": _rewrite_json("pipeline.json", lambda meta: {}),
+    "pipeline []": _rewrite_json("pipeline.json", lambda meta: []),
+    "q as string": _rewrite_json("pipeline.json", lambda meta: {**meta, "q": "5"}),
+    "k negative": _rewrite_json("pipeline.json", lambda meta: {**meta, "k": -1}),
+    "q of another width": _rewrite_json("pipeline.json", lambda meta: {**meta, "q": 4}),
+    "spectrogram []": _rewrite_json("pipeline.json", lambda meta: {**meta, "spectrogram": []}),
+    "spectrogram without hop": _rewrite_json(
+        "pipeline.json", lambda meta: {**meta, "spectrogram": {k: v for k, v in meta["spectrogram"].items() if k != "hop"}}
+    ),
+    "fractional window": _rewrite_json(
+        "pipeline.json", lambda meta: {**meta, "spectrogram": {**meta["spectrogram"], "window_len": 4096.5}}
+    ),
+    "stats without mean": _rewrite_stats(lambda blocks: [("std", blocks["std"])]),
+    "stats of another width": _rewrite_stats(
+        lambda blocks: [("mean", blocks["mean"][:-1]), ("std", blocks["std"][:-1])]
+    ),
+    "stats of unequal shapes": _rewrite_stats(
+        lambda blocks: [("mean", blocks["mean"]), ("std", np.ones(3))]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundle_is_2(case, model_dir, corpus_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(model_dir, bundle)
+    MALFORMED_BUNDLES[case](bundle)
+    capsys.readouterr()
+    assert main(["count", "--model", str(bundle), "--audio", corpus_dir, "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "Traceback" not in err

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from avcount import features
 from avcount.dataio import AudioClip, reference_distance, PassByAnnotation
 from avcount.features import (
     FeatureMatrix,
@@ -15,6 +18,8 @@ from avcount.features import (
     stft_power,
     write_feature_cache,
 )
+from avcount.synthgen import SceneSpec, generate_scene
+from numeric_checks import one_blas_thread
 
 
 def tone_clip(freq, n=882000, rate=44100, amp=0.5, clip_id="tone"):
@@ -78,6 +83,85 @@ class TestStft:
         n = CFG.hop * 4
         p = stft_power(AudioClip(np.zeros(n) + 0.1, 44100, "a"), CFG)
         assert p.shape[0] == n_frames_for(n, CFG.hop) == 4
+
+
+def direct_stft_power(x, cfg):
+    """The unblocked formula: pad the whole clip, frame it, one full-array rfft."""
+    padded = np.pad(x, cfg.window_len // 2, mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.window_len)
+    frames = frames[:: cfg.hop][: n_frames_for(x.size, cfg.hop)]
+    return np.abs(np.fft.rfft(frames * np.hamming(cfg.window_len), axis=1)) ** 2
+
+
+def _length_for_frames(n_frames, hop=CFG.hop):
+    """Shortest clip with the given frame count."""
+    return (n_frames - 1) * hop + 1
+
+
+BLOCK = features._BLOCK_FRAMES
+W = CFG.window_len
+
+
+class TestBlockedStft:
+    @pytest.mark.parametrize(
+        "n",
+        [CFG.hop, W // 2 - 1, W // 2 + 1, W - 1, W + 1]
+        + [_length_for_frames(m * BLOCK + d) for m in (1, 2) for d in (-1, 0, 1)],
+    )
+    def test_equals_direct_formula(self, n):
+        x = noise_clip(seed=n, n=n).samples
+        p = stft_power(AudioClip(x, 44100, "a"), CFG)
+        assert np.array_equal(p, direct_stft_power(x, CFG))
+
+    @pytest.mark.parametrize("window_len,hop", [(64, 10), (63, 31), (17, 16), (16, 1)])
+    def test_equals_direct_formula_for_other_geometries(self, window_len, hop):
+        # every length up to three windows plus a few past a block boundary
+        cfg = SpectrogramConfig(window_len=window_len, hop=hop)
+        rng = np.random.default_rng(window_len * 100 + hop)
+        lengths = list(range(hop, 3 * window_len + 2))
+        lengths += [_length_for_frames(BLOCK + d, hop) for d in (-1, 0, 1, BLOCK)]
+        for n in lengths:
+            x = rng.uniform(-1, 1, n)
+            p = stft_power(AudioClip(x, 44100, "a"), cfg)
+            assert np.array_equal(p, direct_stft_power(x, cfg)), n
+
+    def test_cached_window_and_filterbank_are_read_only(self):
+        fb = mel_filterbank(CFG, 44100)
+        assert fb is mel_filterbank(CFG, 44100)
+        window = features._window(CFG.window_len)
+        assert np.array_equal(window, np.hamming(CFG.window_len))
+        for shared in (fb, window):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                shared *= 2.0
+
+
+# SHA-256 of the front end's output bytes for one seeded synthgen clip
+GOLDEN_STFT = "333468cc5836d8e4d171a726822a83b27280183d36ea8b33924b4821ad4b997e"
+GOLDEN_FEATURES = {
+    1000.0: "f13b8c6e243f8178138646ebd1d93ebdd8700e6fc91c0382d0eaf14620d7bdeb",
+    0.0: "dc5d283562308693f1d4fb925d83f377dac226227f9aa1acecbe74f7118c61b0",
+}
+
+
+def _golden_clip():
+    clip, _ = generate_scene(SceneSpec(duration=5.0, n_vehicles=2, seed=7))
+    return AudioClip(clip.samples, clip.sample_rate, "golden")
+
+
+def test_stft_power_bytes_are_pinned():
+    power = stft_power(_golden_clip(), CFG)
+    assert hashlib.sha256(power.tobytes()).hexdigest() == GOLDEN_STFT
+
+
+@pytest.mark.parametrize("f_min", sorted(GOLDEN_FEATURES))
+def test_extract_features_bytes_are_pinned(f_min):
+    # the mel product is a BLAS matmul, which rounds by thread count
+    with one_blas_thread():
+        fm = extract_features(_golden_clip(), SpectrogramConfig(f_min=f_min))
+    assert fm.data.shape == (135, 528)
+    assert hashlib.sha256(fm.data.tobytes()).hexdigest() == GOLDEN_FEATURES[f_min]
 
 
 class TestMelFilterbank:

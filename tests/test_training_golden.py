@@ -10,11 +10,7 @@ OpenBLAS build that numpy ships with, run on one BLAS thread (a threaded
 Stage-1 matmul may round differently); another BLAS may round differently.
 """
 
-import ctypes
-import glob
 import hashlib
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,33 +18,13 @@ import pytest
 from avcount import distreg
 from avcount.deepcount import ConvCounterSpec, save_counter, train_counter
 from avcount.nn_core import save_model, train
+from numeric_checks import one_blas_thread
 
 GOLDEN = {
     "stage1": "5fff2b4f7630d22db0157f88b5a82e15b925795bd27e037f4e0ff68910abfc1a",
     "stage2": "e4805eb02ec50a7024406f860e0320d1ab90a6256d9f7481cd11b73e87cabd55",
     "deep": "7d925760cbbdf2f77c041aaf409c98c495b01f2262f1b3255a8592e802174d1d",
 }
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread; skip on any other BLAS."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        if setter is not None and getter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            before = getter()
-            setter(1)
-            try:
-                yield
-            finally:
-                setter(before)
-            return
-    pytest.skip("golden digests are recorded for numpy's bundled OpenBLAS")
 
 
 def _digest(path) -> str:
@@ -70,7 +46,7 @@ def _stage_run(name):
 
 @pytest.mark.parametrize("name", ["stage1", "stage2"])
 def test_trained_model_bytes_are_pinned(tmp_path, name):
-    with _one_blas_thread():
+    with one_blas_thread():
         model = _stage_run(name)
     assert model.spec.l2_factor > 0
     path = tmp_path / f"{name}.ckpt"
@@ -86,7 +62,7 @@ def test_trained_counter_bytes_are_pinned(tmp_path):
     spec = ConvCounterSpec(
         conv_layers=((4, 5, 2), (6, 3, 2)), head_sizes=(5,), epochs=4, batch_clips=3, seed=3
     )
-    with _one_blas_thread():
+    with one_blas_thread():
         counter = train_counter(spec, series, counts)
     path = tmp_path / "deep.ckpt"
     save_counter(counter, path)
