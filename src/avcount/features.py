@@ -8,16 +8,15 @@ the spectra at q=5 surrounding instants with a stride of 2, giving
 (2q+1) * n_mel = 528 dimensions.
 
 ``stft_power`` windows, transforms and squares the frames in blocks of 64
-through two reusable scratch buffers, writing each block's magnitudes
+through one reusable scratch buffer, writing each block's magnitudes
 straight into the output matrix. Frames that lie inside the clip are read
 as views of its samples; only the few that overhang an edge read a
-reflect-padded copy of the first or last window. The Hamming window and
-each mel filterbank are built once per setting and cached read-only, and
-the mel projection stays one ``power @ fb.T`` over all frames (a blocked
-product would round differently). The result is bit-identical to the
-direct ``np.pad`` + full-array ``rfft`` formula; for a 20 s clip the peak
-working memory of ``extract_features`` is ~13 MB, most of it the 8.8 MB
-power matrix.
+reflect-padded copy of the first or last window. Each mel filterbank is
+built once per setting and cached read-only, and the mel projection stays
+one ``power @ fb.T`` over all frames (a blocked product would round
+differently). The result is bit-identical to the direct ``np.pad`` +
+full-array ``rfft`` formula; for a 20 s clip the peak working memory of
+``extract_features`` is ~13 MB, most of it the 8.8 MB power matrix.
 """
 
 import functools
@@ -115,17 +114,6 @@ def n_frames_for(n_samples: int, hop: int) -> int:
     return (n_samples - 1) // hop + 1
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=4)
-def _window(window_len: int) -> np.ndarray:
-    """The Hamming analysis window, shared read-only."""
-    return _frozen(np.hamming(window_len))
-
-
 def _frame_runs(x: np.ndarray, cfg: SpectrogramConfig, n_frames: int):
     """(first frame, frames view) runs covering frames 0..n_frames-1.
 
@@ -167,18 +155,16 @@ def stft_power(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
     if x.size < cfg.hop:
         raise ValueError("clip shorter than one hop")
     n_frames = n_frames_for(x.size, cfg.hop)
-    window = _window(cfg.window_len)
+    window = np.hamming(cfg.window_len)
     power = np.empty((n_frames, cfg.n_bins))
-    block = min(_BLOCK_FRAMES, n_frames)
-    windowed = np.empty((block, cfg.window_len))
-    spectrum = np.empty((block, cfg.n_bins), dtype=np.complex128)
+    windowed = np.empty((min(_BLOCK_FRAMES, n_frames), cfg.window_len))
     for first, frames in _frame_runs(x, cfg, n_frames):
-        for s in range(0, len(frames), block):
-            rows = frames[s : s + block]
+        for s in range(0, len(frames), _BLOCK_FRAMES):
+            rows = frames[s : s + _BLOCK_FRAMES]
             k = len(rows)
             np.multiply(rows, window, out=windowed[:k])
-            np.fft.rfft(windowed[:k], axis=1, out=spectrum[:k])
-            np.abs(spectrum[:k], out=power[first + s : first + s + k])
+            out = power[first + s : first + s + k]
+            np.abs(np.fft.rfft(windowed[:k], axis=1), out=out)
     return np.square(power, out=power)
 
 
@@ -212,7 +198,9 @@ def mel_filterbank(cfg: SpectrogramConfig, sample_rate: int) -> np.ndarray:
         raise ValueError(
             "n_mel too large for the bin resolution (empty mel filter)"
         )
-    return _frozen(fb / peaks[:, None])
+    fb /= peaks[:, None]
+    fb.flags.writeable = False
+    return fb
 
 
 def log_mel(power: np.ndarray, cfg: SpectrogramConfig, sample_rate: int) -> np.ndarray:
