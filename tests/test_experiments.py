@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from avcount import experiments
 from avcount.config import ToolConfig
-from avcount.dataio import DistanceSeries, PassByAnnotation, load_corpus
+from avcount.dataio import DistanceSeries, PassByAnnotation, load_corpus, reference_distance
 from avcount.experiments import (
     PP_PROMINENCE_FRACTIONS,
     TUNED_DETECTORS,
@@ -20,6 +21,7 @@ from avcount.experiments import (
     single_run,
 )
 from avcount.features import extract_features, stft_power
+from avcount.metrics import write_curve_csv, write_summary_csv
 from avcount.peakdet import DetectorSpec
 from avcount.synthgen import SceneSpec, generate_corpus
 
@@ -183,6 +185,60 @@ class TestRunAblation:
         a = run_ablation("VCNN", ctx)
         b = run_ablation("VCNN", ctx)
         assert a == b
+
+
+GOLDEN_VARIANTS = ("VCNN", "VCNN_S1", "VCNN_PP5", "VCNN_PP10", "VCNN_PP15")
+GOLDEN_SHA256 = {
+    "VCNN_curve.csv": "c497e5cca58d9d9582877302e12062ce68175e61e12dd481a5a3f4f8bfc550f7",
+    "VCNN_summary.csv": "45e8232ea5b89f3e56141fa639fad1ae4b751f1a7d994dd0deb210e407b60983",
+    "VCNN_S1_curve.csv": "9536e156f248f8bb2f204f88b9fdff0030a48163f103d409f3d60dcf7bfc36fd",
+    "VCNN_S1_summary.csv": "585ac0bc675ce40d7fd374169b2b4cc1b0c23445eaa508f92bb740aed305e88a",
+    "VCNN_PP5_curve.csv": "ddd79e437ceaf501d9b264c846784fb14f5c9f804de4178af5f1562c56cd0eda",
+    "VCNN_PP5_summary.csv": "24970505f02e6c11faa8689746596bd2b7cea5d3ec67b83331a38a35143f2190",
+    "VCNN_PP10_curve.csv": "b90ccc086a7d11e057ccf3d2f0f351902de3d109ff62b41dfb905b13e0d85a77",
+    "VCNN_PP10_summary.csv": "24970505f02e6c11faa8689746596bd2b7cea5d3ec67b83331a38a35143f2190",
+    "VCNN_PP15_curve.csv": "40e532b05defe1e6df60ea8c4d5832c72edefd713ea526f518f0880f3a72e231",
+    "VCNN_PP15_summary.csv": "24970505f02e6c11faa8689746596bd2b7cea5d3ec67b83331a38a35143f2190",
+}
+
+
+def golden_context():
+    """Seeded clips whose series are the reference distance plus noise.
+
+    Neighbouring instants often lie closer than 2 t_d, so intervals split at
+    midpoints; one clip has vehicles at 0 and at its duration, one has none.
+    """
+    rng = np.random.default_rng(8)
+    anns, stage1, stage2 = {}, {}, {}
+    for c in range(5):
+        duration = 60.0
+        instants = np.cumsum(rng.uniform(0.3, 6.0, 20))
+        instants = instants[instants < duration]
+        if c == 1:
+            instants = np.concatenate(([0.0], instants, [duration]))
+        elif c == 3:
+            instants = instants[:0]
+        ann = PassByAnnotation(f"clip{c}", tuple(instants.tolist()), duration)
+        n_frames = int(duration / FP) + 1
+        ref = reference_distance(ann, n_frames, FP, T_D)
+        anns[ann.clip_id] = ann
+        for out, sd in ((stage1, 0.15), (stage2, 0.10)):
+            noisy = np.clip(ref.values + sd * rng.standard_normal(n_frames), 0.0, T_D)
+            out[ann.clip_id] = replace(ref, values=noisy)
+    return EvalContext(annotations=anns, stage2=stage2, stage1=stage1, t_d=T_D)
+
+
+def test_report_bytes_golden(tmp_path):
+    """The curve and summary CSVs of every ablation variant, pinned by SHA-256."""
+    ctx = golden_context()
+    digests = {}
+    for variant in GOLDEN_VARIANTS:
+        report = run_ablation(variant, ctx)
+        for kind, write in (("curve", write_curve_csv), ("summary", write_summary_csv)):
+            path = tmp_path / f"{variant}_{kind}.csv"
+            write(path, report)
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_SHA256
 
 
 @pytest.fixture(scope="module")
