@@ -49,9 +49,7 @@ from .peakdet import (
     prominence,
 )
 from .metrics import (
-    CurvePoint,
     MetricsReport,
-    PassByInterval,
     build_intervals,
     classify_detections,
     compute_curve,

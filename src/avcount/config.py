@@ -182,6 +182,8 @@ def parse_config(raw: dict) -> ToolConfig:
                 raise TypeError(f"variants must be a list of names, got {raw['variants']!r}")
             for name in raw["variants"]:
                 check_variant(name)
+            if len(set(raw["variants"])) != len(raw["variants"]) or not raw["variants"]:
+                raise ValueError(f"variants must name each variant once, got {raw['variants']!r}")
             cfg.variants = tuple(raw["variants"])
         cfg.stage_specs(cfg.seed)  # the stage sections must make valid specs
     except (TypeError, ValueError) as exc:

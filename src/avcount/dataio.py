@@ -55,6 +55,10 @@ class PassByAnnotation:
     def __post_init__(self):
         instants = tuple(float(t) for t in self.instants)
         object.__setattr__(self, "instants", instants)
+        if not 0 < self.duration < np.inf:
+            raise ValueError("duration must be positive and finite")
+        if not np.all(np.isfinite(instants)):
+            raise ValueError("instants must be finite")
         if any(b <= a for a, b in zip(instants, instants[1:])):
             raise ValueError("instants must be strictly increasing")
         if instants and (instants[0] < 0 or instants[-1] > self.duration):
@@ -81,7 +85,7 @@ class DistanceSeries:
             raise ValueError("frame_period must be positive")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-D sequence")
-        if np.any(values < 0) or np.any(values > self.t_d):
+        if not np.all((values >= 0) & (values <= self.t_d)):  # NaN fails too
             raise ValueError("distance values must lie in [0, t_d]")
 
     @property
@@ -283,6 +287,8 @@ def load_annotations(path, durations) -> list:
                     instant = float(row[1])
                 except ValueError as exc:
                     raise DataError(f"line {lineno}: bad instant {row[1]!r}") from exc
+                if not np.isfinite(instant):
+                    raise DataError(f"line {lineno}: non-finite instant")
                 if instant < 0:
                     raise DataError(f"line {lineno}: negative instant")
                 seen = by_clip.setdefault(clip_id, [])

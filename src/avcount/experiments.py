@@ -289,11 +289,7 @@ def multi_run(cfg: "ToolConfig"):
     bands = {}
     if len(results) >= 2:
         for variant in cfg.variants:
-            rows = []
-            grid = results[0].reports[variant].rvce_by_tdet
-            for j, (t_det, _) in enumerate(grid):
-                vals = [res.reports[variant].rvce_by_tdet[j][1] for res in results]
-                mean, lo, hi = confidence_interval(vals)
-                rows.append((t_det, mean, lo, hi))
-            bands[variant] = rows
+            t_det = results[0].reports[variant].t_det.tolist()
+            runs = np.stack([res.reports[variant].rvce for res in results], axis=1)
+            bands[variant] = [(t, *confidence_interval(row)) for t, row in zip(t_det, runs)]
     return results, failures, bands

@@ -5,9 +5,11 @@ interval of some vehicle and below the detection threshold, with at most
 one minimum credited per interval. Intervals are [t_k - t_d, t_k + t_d]
 clipped to the clip bounds; where neighbors overlap, the boundary is the
 midpoint between the two instants, so intervals partition and every
-instant owns exactly one interval. All three probabilities are normalized
-by the true vehicle count, which is what makes FPs and FNs cancel exactly
-at the equal-false-probability point.
+instant owns exactly one interval. A clip's intervals are one (n, 2) array
+of [start, end] rows, and a MetricsReport holds the curves as arrays over
+the threshold grid. All three probabilities are normalized by the true
+vehicle count, which is what makes FPs and FNs cancel exactly at the
+equal-false-probability point.
 """
 
 import csv
@@ -19,52 +21,29 @@ from scipy import stats as _scipy_stats
 from .dataio import PassByAnnotation
 
 
-@dataclass(frozen=True)
-class PassByInterval:
-    clip_id: str
-    start: float
-    end: float
-    center: float
-
-    def __post_init__(self):
-        if not self.start < self.end:
-            raise ValueError("need start < end")
-        if not self.start <= self.center <= self.end:
-            raise ValueError("center must lie inside the interval")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    t_det: float
-    p_tp: float
-    p_fp: float
-    p_fn: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
-    curve: tuple
+    """Pooled curves as arrays over the threshold grid ``t_det``; ``rvce`` in percent."""
+
+    t_det: np.ndarray
+    p_tp: np.ndarray
+    p_fp: np.ndarray
+    p_fn: np.ndarray
+    rvce: np.ndarray
     area_ptp: float
     efp_tdet: float | None
     efp_value: float | None
-    rvce_by_tdet: tuple  # (t_det, signed percent) pairs
 
 
-def build_intervals(ann: PassByAnnotation, t_d: float) -> list:
-    """Pass-by intervals around each instant; overlaps split at midpoints."""
-    instants = ann.instants
-    out = []
-    for i, t in enumerate(instants):
-        start = t - t_d
-        end = t + t_d
-        if i > 0:
-            start = max(start, 0.5 * (instants[i - 1] + t))
-        if i + 1 < len(instants):
-            end = min(end, 0.5 * (t + instants[i + 1]))
-        start = max(start, 0.0)
-        end = min(end, ann.duration)
-        out.append(PassByInterval(clip_id=ann.clip_id, start=start, end=end, center=t))
-    return out
+def build_intervals(ann: PassByAnnotation, t_d: float) -> np.ndarray:
+    """(n_vehicles, 2) array of [start, end] rows; overlaps split at midpoints."""
+    t = np.asarray(ann.instants, dtype=np.float64)
+    starts = np.maximum(t - t_d, 0.0)
+    ends = np.minimum(t + t_d, ann.duration)
+    mid = 0.5 * (t[:-1] + t[1:])
+    np.maximum(starts[1:], mid, out=starts[1:])
+    np.minimum(ends[:-1], mid, out=ends[:-1])
+    return np.column_stack((starts, ends))
 
 
 def _interval_minima(intervals, detections):
@@ -77,8 +56,7 @@ def _interval_minima(intervals, detections):
     and at a shared endpoint it is the earlier of the two.
     """
     times, values = detections.time, detections.distance
-    starts = np.array([iv.start for iv in intervals], dtype=np.float64)
-    ends = np.array([iv.end for iv in intervals], dtype=np.float64)
+    starts, ends = intervals[:, 0], intervals[:, 1]
     k = np.searchsorted(ends, times, side="left")
     hit = k < ends.size
     hit[hit] = starts[k[hit]] <= times[hit]
@@ -134,15 +112,6 @@ def compute_curve(per_clip, t_d: float, n_points: int = 100) -> MetricsReport:
     p_fp = (below - tp) / n_true
     p_fn = 1.0 - p_tp
 
-    curve = tuple(
-        CurvePoint(t_det=float(t), p_tp=float(a), p_fp=float(b), p_fn=float(c))
-        for t, a, b, c in zip(thresholds, p_tp, p_fp, p_fn)
-    )
-    rvce_by_tdet = tuple(
-        (float(t), float((n_true - (a + b)) / n_true * 100.0))
-        for t, a, b in zip(thresholds, tp, below - tp)
-    )
-
     efp_tdet = efp_value = None
     diff = p_fp - p_fn
     for i in range(n_points):
@@ -156,11 +125,14 @@ def compute_curve(per_clip, t_d: float, n_points: int = 100) -> MetricsReport:
             break
 
     return MetricsReport(
-        curve=curve,
+        t_det=thresholds,
+        p_tp=p_tp,
+        p_fp=p_fp,
+        p_fn=p_fn,
+        rvce=(n_true - below) / n_true * 100.0,
         area_ptp=float(p_tp.mean()),
         efp_tdet=efp_tdet,
         efp_value=efp_value,
-        rvce_by_tdet=rvce_by_tdet,
     )
 
 
@@ -183,20 +155,12 @@ def confidence_interval(values, level: float = 0.95):
 
 
 def write_curve_csv(path, report: MetricsReport):
-    rv = dict(report.rvce_by_tdet)
+    columns = (report.t_det, report.p_tp, report.p_fp, report.p_fn, report.rvce)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_det", "p_tp", "p_fp", "p_fn", "rvce"])
-        for pt in report.curve:
-            writer.writerow(
-                [
-                    f"{pt.t_det:.6f}",
-                    f"{pt.p_tp:.6f}",
-                    f"{pt.p_fp:.6f}",
-                    f"{pt.p_fn:.6f}",
-                    f"{rv[pt.t_det]:.6f}",
-                ]
-            )
+        for row in zip(*(c.tolist() for c in columns)):
+            writer.writerow([f"{x:.6f}" for x in row])
 
 
 def write_summary_csv(path, report: MetricsReport):

@@ -1,9 +1,11 @@
-"""Shared test helpers: finite-difference gradient checks, one BLAS thread."""
+"""Shared test helpers: finite-difference gradient checks, one BLAS thread,
+exact report comparison."""
 
 import ctypes
 import glob
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -43,3 +45,12 @@ def one_blas_thread():
                 setter(before)
             return
     pytest.skip("golden digests are recorded for numpy's bundled OpenBLAS")
+
+
+def reports_equal(a, b):
+    """Exact equality of two MetricsReports: arrays by np.array_equal, scalars by ==."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True

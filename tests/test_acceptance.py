@@ -119,7 +119,7 @@ def _count_report(corpus, series_by_id, detector, eval_ids=None):
 
 
 def _mean_abs_rvce_upper(report):
-    values = [abs(r) for t, r in report.rvce_by_tdet if _in_upper_range(t)]
+    values = [abs(r) for t, r in zip(report.t_det, report.rvce) if _in_upper_range(t)]
     return float(np.mean(values))
 
 
@@ -308,10 +308,10 @@ def test_a4_metric_identities():
         )
         per_clip.append((intervals, dets))
     report = metrics.compute_curve(per_clip, T_D)
-    assert len(report.curve) == 100
-    for pt in report.curve:
-        assert pt.p_tp + pt.p_fn == pytest.approx(1.0, abs=1e-12)
-    p_tps = [pt.p_tp for pt in report.curve]
+    assert len(report.t_det) == 100
+    for p_tp, p_fn in zip(report.p_tp, report.p_fn):
+        assert p_tp + p_fn == pytest.approx(1.0, abs=1e-12)
+    p_tps = report.p_tp.tolist()
     assert all(b >= a for a, b in zip(p_tps, p_tps[1:]))
 
     # constructed crossing: 3 TPs, 1 FN, 1 FP -> p_fp = p_fn = 0.25 exactly
@@ -324,7 +324,7 @@ def test_a4_metric_identities():
     crossing = metrics.compute_curve([(intervals, dets)], T_D)
     assert crossing.efp_tdet is not None
     assert crossing.efp_value == pytest.approx(0.25)
-    at = dict(crossing.rvce_by_tdet)[crossing.efp_tdet]
+    at = dict(zip(crossing.t_det.tolist(), crossing.rvce.tolist()))[crossing.efp_tdet]
     assert at == pytest.approx(0.0, abs=1e-12)  # N_est == N_true at the crossing
     n_true = 4
     tp, fp, fn = metrics.classify_detections(intervals, dets, crossing.efp_tdet)

@@ -56,6 +56,11 @@ class TestConfig:
         assert cfg.t_d == 0.75 and cfg.k == 15 and cfg.epochs == 100
         assert cfg.spectrogram.window_len == 4096
 
+    @pytest.mark.parametrize("variants", [[], ["VCNN", "VCNN"]], ids=repr)
+    def test_empty_or_repeated_variants_rejected(self, variants):
+        with pytest.raises(DataError, match="variants must name each variant once"):
+            parse_config({"variants": variants})
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(DataError):
             parse_config({"windowlen": 4096})
@@ -293,6 +298,20 @@ class TestPipelineCommands:
         name = "VCNN_curve.csv"
         assert (default / name).read_bytes() != (custom / name).read_bytes()
 
+    @pytest.mark.parametrize("instant", ["nan", "inf", "-inf"])
+    def test_eval_rejects_non_finite_instant(self, instant, model_dir, corpus_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        clip_id = sorted(os.listdir(data))[0].rsplit(".", 1)[0]
+        with open(data / "annotations.csv", "a") as fh:
+            fh.write(f"{clip_id},{instant}\n")
+        out = tmp_path / "reports"
+        code = main(["eval", "--model", model_dir, "--data", str(data), "--out", str(out), "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "non-finite instant" in err
+        assert not out.exists()
+
     def test_gridsearch_emits_table(self, fast_config, corpus_dir, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         # tiny grid via a dedicated config to keep runtime down
@@ -366,6 +385,29 @@ class TestPipelineCommands:
         assert main(["experiment", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: invalid config value") and "variant" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("variants", [[], ["VCNN", "VCNN"], ["VCNN_S1", "VCNN_PP10", "VCNN_S1"]], ids=repr)
+    @pytest.mark.parametrize("command", ["eval", "experiment"])
+    def test_empty_or_repeated_variants_are_2_before_reading_audio(
+        self, command, variants, model_dir, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_audio(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr("avcount.cli.load_corpus", no_audio)
+        monkeypatch.setattr("avcount.experiments.load_corpus", no_audio)
+        out_dir = tmp_path / "out"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(
+            json.dumps({"variants": variants, "paths": {"data_dir": corpus_dir, "out_dir": str(out_dir)}})
+        )
+        argv = ["--config", str(cfg_path)]
+        if command == "eval":
+            argv += ["--model", model_dir, "--data", corpus_dir, "--out", str(out_dir), "--jobs", "1"]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid config value") and "variants" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("variant", ["VCNN", "VCNN_S1", "VCNN_f0", "VCNN_PP1", "VCNN_PP7.5", "VCNN_PP100"])

@@ -5,6 +5,7 @@ import pytest
 
 from avcount.dataio import (
     DataError,
+    DistanceSeries,
     PassByAnnotation,
     load_annotations,
     load_clip,
@@ -156,6 +157,13 @@ class TestAnnotations:
         with pytest.raises(DataError):
             load_annotations(path, {"a": 20.0})
 
+    @pytest.mark.parametrize("instant", ["nan", "inf", "-inf"])
+    def test_non_finite_instant_rejected(self, tmp_path, instant):
+        path = tmp_path / "ann.csv"
+        path.write_text(f"clip_id,instant_s\na,1.0\na,{instant}\na,3.0\n")
+        with pytest.raises(DataError, match="line 3: non-finite instant"):
+            load_annotations(path, {"a": 20.0})
+
     def test_instant_beyond_duration_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("clip_id,instant_s\na,25.0\n")
@@ -252,3 +260,18 @@ def test_annotation_invariants():
         PassByAnnotation("a", (2.0, 1.0), 10.0)
     with pytest.raises(ValueError):
         PassByAnnotation("a", (2.0, 2.0), 10.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match="instants must be finite"):
+        PassByAnnotation("a", (1.0, bad), 10.0)
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        PassByAnnotation("a", (1.0,), bad)
+    with pytest.raises(ValueError, match=r"\[0, t_d\]"):
+        DistanceSeries("a", np.array([0.1, bad, 0.2]), 0.1, 0.75)
+
+
+def test_zero_duration_rejected():
+    with pytest.raises(ValueError, match="duration must be positive"):
+        PassByAnnotation("a", (0.0,), 0.0)

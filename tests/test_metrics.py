@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avcount.dataio import PassByAnnotation
 from avcount.metrics import (
-    PassByInterval,
     _interval_minima,
     build_intervals,
     classify_detections,
@@ -29,22 +28,50 @@ def dets(*pairs):
                       np.full(n, 0.1), distances)
 
 
+def loop_intervals(ann, t_d):
+    """Reference: the per-instant loop build_intervals replaced, as (start, end) pairs."""
+    instants = ann.instants
+    out = []
+    for i, t in enumerate(instants):
+        start = t - t_d
+        end = t + t_d
+        if i > 0:
+            start = max(start, 0.5 * (instants[i - 1] + t))
+        if i + 1 < len(instants):
+            end = min(end, 0.5 * (t + instants[i + 1]))
+        out.append((max(start, 0.0), min(end, ann.duration)))
+    return out
+
+
+@st.composite
+def annotations(draw):
+    """None, one or several instants; neighbours often overlap; 0 and duration occur."""
+    n = draw(st.integers(0, 10))
+    first = draw(st.just(0.0) | st.floats(0.0, 5.0))
+    gaps = draw(st.lists(st.floats(1e-3, 4.0), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    instants = np.cumsum([first, *gaps])[:n].tolist()
+    tail = draw(st.just(0.0) | st.floats(1e-3, 5.0))
+    duration = (instants[-1] if instants else 1.0) + tail
+    assume(duration > 0)
+    return PassByAnnotation("a", tuple(instants), duration)
+
+
 class TestBuildIntervals:
     def test_single_instant(self):
         ann = PassByAnnotation("a", (5.0,), 20.0)
         (iv,) = build_intervals(ann, T_D)
-        assert (iv.start, iv.end, iv.center) == (4.25, 5.75, 5.0)
+        assert iv.tolist() == [4.25, 5.75]
 
     def test_overlapping_instants_split_at_midpoint(self):
         ann = PassByAnnotation("a", (5.0, 5.8), 20.0)
         first, second = build_intervals(ann, T_D)
-        assert (first.start, first.end) == (4.25, 5.4)
-        assert (second.start, second.end) == (5.4, 6.55)
+        assert first.tolist() == [4.25, 5.4]
+        assert second.tolist() == [5.4, 6.55]
 
     def test_clipped_to_clip_bounds(self):
         ann = PassByAnnotation("a", (0.3,), 20.0)
         (iv,) = build_intervals(ann, T_D)
-        assert (iv.start, iv.end) == (0.0, 1.05)
+        assert iv.tolist() == [0.0, 1.05]
 
     def test_intervals_partition_without_overlap(self):
         rng = np.random.default_rng(0)
@@ -54,7 +81,23 @@ class TestBuildIntervals:
             ivs = build_intervals(PassByAnnotation("a", instants, 20.0), T_D)
             assert len(ivs) == len(instants)
             for a, b in zip(ivs, ivs[1:]):
-                assert a.end <= b.start + 1e-12
+                assert a[1] <= b[0] + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(ann=annotations(), t_d=st.floats(0.05, 3.0))
+    def test_equals_per_instant_loop(self, ann, t_d):
+        ivs = build_intervals(ann, t_d)
+        want = np.array(loop_intervals(ann, t_d), dtype=np.float64).reshape(-1, 2)
+        assert ivs.shape == (ann.n_vehicles, 2) and ivs.dtype == np.float64
+        assert ivs.tobytes() == want.tobytes()
+        starts, ends = ivs[:, 0], ivs[:, 1]
+        instants = np.array(ann.instants)
+        assert np.all(starts < ends)
+        assert np.all((starts <= instants) & (instants <= ends))
+        # the rows partition their union: inside the clip, in order, disjoint
+        # apart from shared endpoints
+        assert np.all(starts >= 0.0) and np.all(ends <= ann.duration)
+        assert np.all(ends[:-1] <= starts[1:])
 
 
 class TestClassifyDetections:
@@ -89,8 +132,8 @@ def first_containing_minima(intervals, detections):
     """Reference matcher: each detection goes to the first interval holding it."""
     best = np.full(len(intervals), np.inf)
     for time, distance in zip(detections.time.tolist(), detections.distance.tolist()):
-        for k, iv in enumerate(intervals):
-            if iv.start <= time <= iv.end:
+        for k, (start, end) in enumerate(intervals.tolist()):
+            if start <= time <= end:
                 best[k] = min(best[k], distance)
                 break
     return best
@@ -115,12 +158,12 @@ class TestIntervalMinima:
         instants = tuple(np.cumsum([first, *gaps]).tolist())
         ann = PassByAnnotation("a", instants, instants[-1] + tail + 0.01)
         ivs = build_intervals(ann, t_d)
-        starts = [iv.start for iv in ivs]
-        ends = [iv.end for iv in ivs]
+        starts = ivs[:, 0].tolist()
+        ends = ivs[:, 1].tolist()
         # every boundary (shared ones included), a point in each gap between
         # intervals, and points before the first and after the last interval
         times = starts + ends + [starts[0] - 0.5, ends[-1] + 0.5]
-        times += [0.5 * (a.end + b.start) for a, b in zip(ivs, ivs[1:]) if a.end < b.start]
+        times += [0.5 * (end + start) for end, start in zip(ends, starts[1:]) if end < start]
         times += data.draw(st.lists(st.floats(-1.0, ann.duration + 1.0), max_size=20))
         distances = data.draw(
             st.lists(st.floats(0.0, T_D), min_size=len(times), max_size=len(times))
@@ -143,18 +186,18 @@ class TestComputeCurve:
 
     def test_perfect_detector(self):
         report = compute_curve(self._perfect(), T_D)
-        p_tps = [pt.p_tp for pt in report.curve]
+        p_tps = report.p_tp.tolist()
         assert p_tps[0] == 0.0  # nothing falls strictly below zero
         assert all(p == 1.0 for p in p_tps[1:])
         assert report.area_ptp == pytest.approx(0.99)
         assert report.efp_value == pytest.approx(0.0)
-        rv = dict(report.rvce_by_tdet)
-        assert all(r == 0.0 for t, r in report.rvce_by_tdet if t > 0)
+        assert all(r == 0.0 for t, r in zip(report.t_det, report.rvce) if t > 0)
 
     def test_no_detections(self):
         per_clip = [(ivs, dets()) for ivs, _ in self._perfect()]
         report = compute_curve(per_clip, T_D)
-        assert all(pt.p_tp == 0.0 and pt.p_fn == 1.0 and pt.p_fp == 0.0 for pt in report.curve)
+        assert all(p_tp == 0.0 and p_fn == 1.0 and p_fp == 0.0
+                   for p_tp, p_fp, p_fn in zip(report.p_tp, report.p_fp, report.p_fn))
         assert report.efp_tdet is None and report.efp_value is None
         assert report.area_ptp == 0.0
 
@@ -169,15 +212,15 @@ class TestComputeCurve:
             pairs += [(rng.uniform(0, 20), rng.uniform(0, 0.75))]
             per_clip.append((ivs, dets(*sorted(pairs, key=lambda p: p[0]))))
         report = compute_curve(per_clip, T_D)
-        for pt in report.curve:
-            assert pt.p_tp + pt.p_fn == pytest.approx(1.0)
-        p_tps = [pt.p_tp for pt in report.curve]
+        for p_tp, p_fn in zip(report.p_tp, report.p_fn):
+            assert p_tp + p_fn == pytest.approx(1.0)
+        p_tps = report.p_tp.tolist()
         assert all(b >= a for a, b in zip(p_tps, p_tps[1:]))
         assert 0.0 <= report.area_ptp <= 1.0
 
     def test_grid_is_equidistant_over_range(self):
         report = compute_curve(self._perfect(), T_D)
-        ts = [pt.t_det for pt in report.curve]
+        ts = report.t_det.tolist()
         assert len(ts) == 100
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(T_D)
         diffs = np.diff(ts)
@@ -264,9 +307,3 @@ def test_report_csvs(tmp_path):
     summary = summary_path.read_text().strip().splitlines()
     assert summary[0] == "area_ptp,efp_tdet,efp_value"
 
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        PassByInterval("a", 2.0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        PassByInterval("a", 1.0, 2.0, 5.0)
