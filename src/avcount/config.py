@@ -182,7 +182,7 @@ def parse_config(raw: dict) -> ToolConfig:
                 raise TypeError(f"variants must be a list of names, got {raw['variants']!r}")
             for name in raw["variants"]:
                 check_variant(name)
-            if len(set(raw["variants"])) != len(raw["variants"]) or not raw["variants"]:
+            if not raw["variants"] or len(set(raw["variants"])) != len(raw["variants"]):
                 raise ValueError(f"variants must name each variant once, got {raw['variants']!r}")
             cfg.variants = tuple(raw["variants"])
         cfg.stage_specs(cfg.seed)  # the stage sections must make valid specs

@@ -56,11 +56,6 @@ class TestConfig:
         assert cfg.t_d == 0.75 and cfg.k == 15 and cfg.epochs == 100
         assert cfg.spectrogram.window_len == 4096
 
-    @pytest.mark.parametrize("variants", [[], ["VCNN", "VCNN"]], ids=repr)
-    def test_empty_or_repeated_variants_rejected(self, variants):
-        with pytest.raises(DataError, match="variants must name each variant once"):
-            parse_config({"variants": variants})
-
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(DataError):
             parse_config({"windowlen": 4096})

@@ -260,6 +260,8 @@ def test_annotation_invariants():
         PassByAnnotation("a", (2.0, 1.0), 10.0)
     with pytest.raises(ValueError):
         PassByAnnotation("a", (2.0, 2.0), 10.0)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        PassByAnnotation("a", (0.0,), 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -270,8 +272,3 @@ def test_non_finite_values_rejected(bad):
         PassByAnnotation("a", (1.0,), bad)
     with pytest.raises(ValueError, match=r"\[0, t_d\]"):
         DistanceSeries("a", np.array([0.1, bad, 0.2]), 0.1, 0.75)
-
-
-def test_zero_duration_rejected():
-    with pytest.raises(ValueError, match="duration must be positive"):
-        PassByAnnotation("a", (0.0,), 0.0)
