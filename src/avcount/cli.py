@@ -8,16 +8,22 @@ config and seed (AVC_SEED overrides the configured seed) for a fixed BLAS
 thread count: threaded matrix products round differently, so bundles,
 features and experiment reports made under another thread count may
 differ in the last bits.
+
+Threads: a command never runs more than ``--jobs`` worker threads. Clips
+go to up to ``--jobs`` workers at once, and a clip's STFT borrows only the
+cores that the clip workers leave idle (``avcount.parallel``). A library
+call such as ``distreg.predict_distance`` may use every usable core for one
+clip's STFT. Outputs depend on neither. ``synth`` and ``experiment`` take
+no ``--jobs``; they run as library calls do.
 """
 
 import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from . import deepcount, distreg, experiments, metrics, peakdet, synthgen
+from . import deepcount, distreg, experiments, metrics, parallel, peakdet, synthgen
 from .config import ToolConfig, load_config
 from .dataio import DataError, load_clip, load_corpus, reference_distance
 from .features import extract_features, read_feature_cache, write_feature_cache
@@ -33,19 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _add_jobs(parser):
     parser.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="parallel workers for per-clip work (default: available cores)",
+        default=parallel.usable_cores(),
+        help="most worker threads, clip workers and STFT helpers together "
+        "(default: usable cores); outputs do not depend on it",
     )
 
 
@@ -69,7 +69,7 @@ def _prepare_corpus(cfg: ToolConfig, data_dir, jobs, cache_dir=None):
                 return read_feature_cache(path, clip, cfg.spectrogram, cfg.q, cfg.stride)
         return extract_features(clip, cfg.spectrogram, cfg.q, cfg.stride)
 
-    feats = _parallel_map(one, clips, jobs)
+    feats = parallel.parallel_map(one, clips, jobs)
     features = {c.id: fm for c, fm in zip(clips, feats)}
     targets = {
         c.id: reference_distance(a, features[c.id].frames, features[c.id].frame_period, cfg.t_d)
@@ -100,7 +100,7 @@ def cmd_extract(args):
         )
         return clip.id
 
-    ids = _parallel_map(one, paths, args.jobs)
+    ids = parallel.parallel_map(one, paths, args.jobs)
     print(f"cached features for {len(ids)} clips in {args.out}")
     return 0
 
@@ -136,7 +136,7 @@ def _predict_series(pipeline, paths, jobs):
         clip = load_clip(path)
         return clip.id, distreg.predict_distance(pipeline, clip)
 
-    return _parallel_map(one, paths, jobs)
+    return parallel.parallel_map(one, paths, jobs)
 
 
 def cmd_predict(args):
@@ -186,7 +186,7 @@ def cmd_eval(args):
         (coarse,), (fine,) = distreg.cascade(pipeline, [fm])
         return clip.id, coarse, fine
 
-    rows = _parallel_map(one, clips, args.jobs)
+    rows = parallel.parallel_map(one, clips, args.jobs)
     ctx = experiments.EvalContext(
         annotations=anns_by_id,
         stage2={cid: fine for cid, _, fine in rows},
@@ -369,7 +369,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with parallel.cap(getattr(args, "jobs", None)):
+            return args.func(args)
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

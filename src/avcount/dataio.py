@@ -133,7 +133,10 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
 
     Multichannel input is averaged to mono. Integer PCM is scaled by
     2^(bits-1), so -32768 maps to -1.0 (8-bit PCM is unsigned and is
-    offset by 128 first).
+    offset by 128 first); 16-, 24- and 32-bit samples are multiplied by the
+    power-of-two reciprocal in one pass, which is exact like the division. A
+    ``data`` chunk that declares more bytes than the file holds raises
+    DataError.
     """
     try:
         with open(path, "rb") as fh:
@@ -163,7 +166,11 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
         raise DataError("sample rate 0 in fmt chunk")
 
     doff, dsize = chunks[b"data"]
-    dsize = min(dsize, len(data) - doff)
+    if dsize > len(data) - doff:
+        raise DataError(
+            f"{path}: data chunk declares {dsize} bytes but the file holds "
+            f"{len(data) - doff} (truncated file?)"
+        )
     raw = data[doff : doff + dsize]
     if fmt_code == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
@@ -175,21 +182,16 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
         x = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
         x = (x - 128.0) / 128.0
     elif bits == 16:
-        x = np.frombuffer(raw[: len(raw) // 2 * 2], dtype="<i2").astype(np.float64)
-        x /= 32768.0
+        ints = np.frombuffer(raw[: len(raw) // 2 * 2], dtype="<i2")
+        x = np.multiply(ints, 2.0**-15, dtype=np.float64)
     elif bits == 24:
-        usable = len(raw) // 3 * 3
-        b = np.frombuffer(raw[:usable], dtype=np.uint8).reshape(-1, 3)
-        vals = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-        x = vals.astype(np.float64) / float(1 << 23)
+        # each sample into the top three bytes of an int32; >> 8 sign-extends
+        b = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+        b[:, 1:] = np.frombuffer(raw[: b.shape[0] * 3], dtype=np.uint8).reshape(-1, 3)
+        x = np.multiply(b.view("<i4")[:, 0] >> 8, 2.0**-23, dtype=np.float64)
     elif bits == 32:
-        x = np.frombuffer(raw[: len(raw) // 4 * 4], dtype="<i4").astype(np.float64)
-        x /= float(1 << 31)
+        ints = np.frombuffer(raw[: len(raw) // 4 * 4], dtype="<i4")
+        x = np.multiply(ints, 2.0**-31, dtype=np.float64)
     else:
         raise DataError(f"unsupported PCM width {bits}")
 

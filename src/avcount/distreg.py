@@ -235,8 +235,9 @@ def load_pipeline(directory) -> RegressionPipeline:
     """Load a bundle written by save_pipeline.
 
     A bundle with a missing or malformed file, settings of the wrong type,
-    statistics without ``mean`` and ``std``, or parts whose widths disagree
-    raises DataError.
+    statistics without ``mean`` and ``std``, weights or statistics that hold
+    NaN or infinity, a ``std`` that is not positive, or parts whose widths
+    disagree raises DataError.
     """
     try:
         with open(os.path.join(directory, "pipeline.json")) as fh:
@@ -247,12 +248,18 @@ def load_pipeline(directory) -> RegressionPipeline:
         raise DataError(f"corrupt pipeline.json in {directory}: {exc}") from exc
     stage1 = nn_core.load_model(os.path.join(directory, "stage1.ckpt"))
     stage2 = nn_core.load_model(os.path.join(directory, "stage2.ckpt"))
-    kind, _, blocks = nn_core.read_checkpoint(os.path.join(directory, "stats.bin"))
+    stats_path = os.path.join(directory, "stats.bin")
+    kind, _, blocks = nn_core.read_checkpoint(stats_path)
     if kind != "feature_stats":
-        raise DataError(f"stats.bin has kind {kind!r}")
+        raise DataError(f"{stats_path}: kind {kind!r}, expected 'feature_stats'")
     named = dict(blocks)
     if set(named) != {"mean", "std"}:
-        raise DataError(f"stats.bin holds blocks {sorted(named)}, expected ['mean', 'std']")
+        raise DataError(f"{stats_path}: blocks {sorted(named)}, expected ['mean', 'std']")
+    for name, block in named.items():
+        if not np.all(np.isfinite(block)):
+            raise DataError(f"{stats_path}: block {name!r} holds NaN or infinity")
+    if not np.all(named["std"] > 0):
+        raise DataError(f"{stats_path}: block 'std' holds a value <= 0")
     try:
         if not isinstance(meta, dict) or set(meta) != _BUNDLE_KEYS:
             raise ValueError(f"pipeline.json must be an object with keys {sorted(_BUNDLE_KEYS)}")

@@ -7,25 +7,31 @@ below 1 kHz is what turns the LMS into the HF-LMS. Feature vectors stack
 the spectra at q=5 surrounding instants with a stride of 2, giving
 (2q+1) * n_mel = 528 dimensions.
 
-``stft_power`` windows, transforms and squares the frames in blocks of 64
-through one reusable scratch buffer, writing each block's magnitudes
-straight into the output matrix. Frames that lie inside the clip are read
-as views of its samples; only the few that overhang an edge read a
-reflect-padded copy of the first or last window. Each mel filterbank is
-built once per setting and cached read-only, and the mel projection stays
-one ``power @ fb.T`` over all frames (a blocked product would round
+``stft_power`` windows, transforms and squares the frames in blocks of 64,
+writing each block's power straight into the output matrix. The blocks are
+shared out between the calling thread and the cores that are idle
+(``avcount.parallel``): a library call on one clip may use every usable
+core, a command never more than ``--jobs`` threads, and the bytes depend on
+neither, since each block is transformed alone. Each thread has one
+reusable scratch buffer. Frames that lie inside the clip are read as views
+of its samples; only the few that overhang an edge read a reflect-padded
+copy of the first or last window. Each mel filterbank is built once per
+setting and cached read-only, and the mel projection stays one
+``power @ fb.T`` over all frames (a blocked product would round
 differently). The result is bit-identical to the direct ``np.pad`` +
 full-array ``rfft`` formula; for a 20 s clip the peak working memory of
-``extract_features`` is ~13 MB, most of it the 8.8 MB power matrix.
+``extract_features`` is ~13 MB on one thread and ~17 MB with one helper,
+most of it the 8.8 MB power matrix.
 """
 
 import functools
 import hashlib
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import nn_core
+from . import nn_core, parallel
 from .dataio import AudioClip, DataError
 
 DEFAULT_Q = 5
@@ -145,7 +151,10 @@ def stft_power(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
     """Power spectrogram, frames x (window_len/2+1) bins.
 
     Frame m is centered at sample m*hop; the signal is reflect-padded by
-    window_len/2 on both ends so the count is floor((n-1)/hop)+1.
+    window_len/2 on both ends so the count is floor((n-1)/hop)+1. The
+    blocks of frames are shared out between this thread and any idle cores
+    (``parallel.lend``); each block is transformed alone, so the bytes do
+    not depend on which thread takes it.
     """
     if clip.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -157,15 +166,27 @@ def stft_power(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
     n_frames = n_frames_for(x.size, cfg.hop)
     window = np.hamming(cfg.window_len)
     power = np.empty((n_frames, cfg.n_bins))
-    windowed = np.empty((min(_BLOCK_FRAMES, n_frames), cfg.window_len))
+    blocks = []  # (rows of power, frames) pairs
     for first, frames in _frame_runs(x, cfg, n_frames):
         for s in range(0, len(frames), _BLOCK_FRAMES):
             rows = frames[s : s + _BLOCK_FRAMES]
+            blocks.append((power[first + s : first + s + len(rows)], rows))
+    todo, take = iter(blocks), threading.Lock()
+
+    def work():
+        windowed = np.empty((min(_BLOCK_FRAMES, n_frames), cfg.window_len))
+        while True:
+            with take:
+                out, rows = next(todo, (None, None))
+            if out is None:
+                return
             k = len(rows)
             np.multiply(rows, window, out=windowed[:k])
-            out = power[first + s : first + s + k]
             np.abs(np.fft.rfft(windowed[:k], axis=1), out=out)
-    return np.square(power, out=power)
+            np.square(out, out=out)
+
+    parallel.lend(work, len(blocks) - 1)
+    return power
 
 
 def hz_to_mel(f):

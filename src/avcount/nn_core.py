@@ -506,7 +506,8 @@ def _model_blocks(model: TrainedModel):
 def copy_blocks(path, named: dict, targets):
     """Copy each checkpoint block into its (name, array) target in place.
 
-    Raises DataError naming a block that is missing or has another shape.
+    Raises DataError naming a block that is missing, has another shape or
+    holds NaN or infinity.
     """
     for name, target in targets:
         if name not in named:
@@ -517,6 +518,8 @@ def copy_blocks(path, named: dict, targets):
                 f"{path}: parameter block {name!r} has shape {block.shape}, "
                 f"expected {target.shape}"
             )
+        if not np.all(np.isfinite(block)):
+            raise DataError(f"{path}: parameter block {name!r} holds NaN or infinity")
         target[...] = block
 
 

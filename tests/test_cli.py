@@ -459,3 +459,34 @@ def test_malformed_bundle_is_2(case, model_dir, corpus_dir, tmp_path, capsys):
     assert main(["count", "--model", str(bundle), "--audio", corpus_dir, "--jobs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and "Traceback" not in err
+
+
+def _poison(name, block, value):
+    def mutate(bundle):
+        path = bundle / name
+        kind, spec, blocks = read_checkpoint(path)
+        blocks = [(n, np.full_like(a, value) if n == block else a) for n, a in blocks]
+        write_checkpoint(path, kind, spec, blocks)
+
+    return mutate
+
+
+NON_FINITE_BUNDLES = {
+    "stage2 weights NaN": ("stage2.ckpt", "layer0.weights", np.nan),
+    "stage1 running variance inf": ("stage1.ckpt", "layer1.running_var", np.inf),
+    "stats mean NaN": ("stats.bin", "mean", np.nan),
+    "stats std zero": ("stats.bin", "std", 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_BUNDLES))
+def test_non_finite_bundle_is_2_naming_file_and_block(case, model_dir, corpus_dir, tmp_path, capsys):
+    name, block, value = NON_FINITE_BUNDLES[case]
+    bundle = tmp_path / "bundle"
+    shutil.copytree(model_dir, bundle)
+    _poison(name, block, value)(bundle)
+    capsys.readouterr()
+    assert main(["count", "--model", str(bundle), "--audio", corpus_dir, "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "Traceback" not in err
+    assert str(bundle / name) in err and repr(block) in err

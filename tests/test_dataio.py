@@ -68,6 +68,45 @@ class TestLoadClip:
         assert np.array_equal(first.samples, second.samples)
         assert np.max(np.abs(first.samples - x)) <= 1.5 * 2.0 ** -(bits - 1)
 
+    @pytest.mark.parametrize("bits", [16, 24, 32])
+    def test_one_pass_scaling_matches_astype_then_divide(self, tmp_path, bits):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        rng = np.random.default_rng(bits)
+        ints = np.concatenate(
+            [[lo, lo + 1, -1, 0, 1, hi - 1, hi], rng.integers(lo, hi, 2000, endpoint=True)]
+        )
+        if bits == 24:
+            b = np.empty((ints.size, 3), dtype=np.uint8)
+            for k in range(3):
+                b[:, k] = (ints >> (8 * k)) & 0xFF
+            payload = b.tobytes()
+        else:
+            payload = ints.astype(f"<i{bits // 8}").tobytes()
+        path = tmp_path / "ext.wav"
+        write_raw_wav(path, payload, bits=bits)
+        # the formula the loader used before: convert, then divide
+        if bits == 24:
+            u = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+            vals = u[:, 0].astype(np.int32) | (u[:, 1].astype(np.int32) << 8) | (u[:, 2].astype(np.int32) << 16)
+            vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
+            want = vals.astype(np.float64) / float(1 << 23)
+        else:
+            want = np.frombuffer(payload, dtype=f"<i{bits // 8}").astype(np.float64)
+            want /= float(1 << (bits - 1))
+        got = load_clip(path).samples
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == -1.0 and got[6] == hi / 2.0 ** (bits - 1)
+
+    @pytest.mark.parametrize("missing", [1, 2, 1000])
+    def test_data_chunk_shorter_than_declared_rejected(self, tmp_path, missing):
+        path = tmp_path / "cut.wav"
+        save_wav(path, np.linspace(-0.5, 0.5, 1000), 44100)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - missing])
+        with pytest.raises(DataError, match=f"declares 2000 bytes but the file holds {2000 - missing}"):
+            load_clip(path)
+
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 300).astype(np.float32).astype(np.float64)
