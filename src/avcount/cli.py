@@ -14,7 +14,8 @@ go to up to ``--jobs`` workers at once, and a clip's STFT borrows only the
 cores that the clip workers leave idle (``avcount.parallel``). A library
 call such as ``distreg.predict_distance`` may use every usable core for one
 clip's STFT. Outputs depend on neither. ``synth`` and ``experiment`` take
-no ``--jobs``; they run as library calls do.
+no ``--jobs``; they run as library calls do, so ``experiment`` extracts its
+clips on up to usable-cores clip workers.
 """
 
 import argparse
@@ -25,8 +26,8 @@ from dataclasses import replace
 
 from . import deepcount, distreg, experiments, metrics, parallel, peakdet, synthgen
 from .config import ToolConfig, load_config
-from .dataio import DataError, load_clip, load_corpus, reference_distance
-from .features import extract_features, read_feature_cache, write_feature_cache
+from .dataio import DataError, load_clip, load_corpus, wav_paths
+from .features import extract_features, write_feature_cache
 from .nn_core import NumericError
 
 
@@ -49,35 +50,6 @@ def _add_jobs(parser):
     )
 
 
-def _wav_paths(directory):
-    try:
-        names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".wav"))
-    except OSError as exc:
-        raise DataError(f"cannot list {directory}: {exc}") from exc
-    if not names:
-        raise DataError(f"no wav files in {directory}")
-    return [os.path.join(directory, f) for f in names]
-
-
-def _prepare_corpus(cfg: ToolConfig, data_dir, jobs, cache_dir=None):
-    clips, anns = load_corpus(data_dir)
-
-    def one(clip):
-        if cache_dir is not None:
-            path = os.path.join(cache_dir, clip.id + ".avcf")
-            if os.path.exists(path):
-                return read_feature_cache(path, clip, cfg.spectrogram, cfg.q, cfg.stride)
-        return extract_features(clip, cfg.spectrogram, cfg.q, cfg.stride)
-
-    feats = parallel.parallel_map(one, clips, jobs)
-    features = {c.id: fm for c, fm in zip(clips, feats)}
-    targets = {
-        c.id: reference_distance(a, features[c.id].frames, features[c.id].frame_period, cfg.t_d)
-        for c, a in zip(clips, anns)
-    }
-    return clips, anns, features, targets
-
-
 def cmd_synth(args):
     cfg = load_config(args.spec)
     scene = replace(cfg.scene, seed=cfg.seed)
@@ -90,7 +62,7 @@ def cmd_synth(args):
 def cmd_extract(args):
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    paths = _wav_paths(args.audio)
+    paths = wav_paths(args.audio)
 
     def one(path):
         clip = load_clip(path)
@@ -107,11 +79,11 @@ def cmd_extract(args):
 
 def cmd_train(args):
     cfg = load_config(args.config)
-    clips, anns, features, targets = _prepare_corpus(
+    ids, features, targets, anns_by_id, _ = experiments.prepare_corpus(
         cfg, args.data, args.jobs, cache_dir=args.cache
     )
     split, pipeline, coarse, fine = experiments.train_and_predict(
-        cfg, [c.id for c in clips], features, targets, cfg.seed
+        cfg, ids, features, targets, cfg.seed
     )
     distreg.save_pipeline(pipeline, args.out)
     m1, m2 = experiments.mean_mse(coarse, targets), experiments.mean_mse(fine, targets)
@@ -122,7 +94,7 @@ def cmd_train(args):
             cfg.deep or deepcount.ConvCounterSpec(),
             pipeline,
             features,
-            {a.clip_id: a for a in anns},
+            anns_by_id,
             split.train_ids,
             cfg.seed,
         )
@@ -141,7 +113,7 @@ def _predict_series(pipeline, paths, jobs):
 
 def cmd_predict(args):
     pipeline = distreg.load_pipeline(args.model)
-    results = _predict_series(pipeline, _wav_paths(args.audio), args.jobs)
+    results = _predict_series(pipeline, wav_paths(args.audio), args.jobs)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "frame", "t_s", "d_hat_s"])
@@ -160,7 +132,7 @@ def cmd_count(args):
     t_det = args.tdet if args.tdet is not None else pipeline.t_d
     if not 0 <= t_det <= pipeline.t_d:
         raise DataError(f"--tdet must lie in [0, {pipeline.t_d}]")
-    results = _predict_series(pipeline, _wav_paths(args.audio), args.jobs)
+    results = _predict_series(pipeline, wav_paths(args.audio), args.jobs)
     total = 0
     for clip_id, series in results:
         detections = peakdet.detect_vehicles(series, cfg.detector)
@@ -208,11 +180,8 @@ def cmd_eval(args):
 
 def cmd_gridsearch(args):
     cfg = load_config(args.config)
-    clips, anns, features, targets = _prepare_corpus(cfg, args.data, args.jobs)
-    _, _, _, fine = experiments.train_and_predict(
-        cfg, [c.id for c in clips], features, targets, cfg.seed
-    )
-    anns_by_id = {a.clip_id: a for a in anns}
+    ids, features, targets, anns_by_id, _ = experiments.prepare_corpus(cfg, args.data, args.jobs)
+    _, _, _, fine = experiments.train_and_predict(cfg, ids, features, targets, cfg.seed)
     best, table = experiments.grid_search(
         fine.values(), [anns_by_id[i] for i in fine], cfg.grid, cfg.t_d
     )

@@ -136,13 +136,23 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
     offset by 128 first); 16-, 24- and 32-bit samples are multiplied by the
     power-of-two reciprocal in one pass, which is exact like the division. A
     ``data`` chunk that declares more bytes than the file holds raises
-    DataError.
+    DataError. Every DataError names the file: ``<path>: <reason>``.
     """
+    try:
+        x, sample_rate = _read_wav(path)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if clip_id is None:
+        clip_id = os.path.splitext(os.path.basename(str(path)))[0]
+    return AudioClip(samples=x, sample_rate=sample_rate, id=clip_id)
+
+
+def _read_wav(path):
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read ({exc.strerror or exc})") from exc
 
     chunks = _find_chunks(data)
     if b"fmt " not in chunks or b"data" not in chunks:
@@ -168,7 +178,7 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
     doff, dsize = chunks[b"data"]
     if dsize > len(data) - doff:
         raise DataError(
-            f"{path}: data chunk declares {dsize} bytes but the file holds "
+            f"data chunk declares {dsize} bytes but the file holds "
             f"{len(data) - doff} (truncated file?)"
         )
     raw = data[doff : doff + dsize]
@@ -202,9 +212,7 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
         x = x.reshape(-1, n_channels).mean(axis=1)
         if x.size == 0:
             raise DataError("zero-length audio")
-    if clip_id is None:
-        clip_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return AudioClip(samples=x, sample_rate=sample_rate, id=clip_id)
+    return x, sample_rate
 
 
 def save_wav(path, samples, sample_rate: int, bits: int = 16, float32: bool = False):
@@ -265,10 +273,18 @@ def save_wav(path, samples, sample_rate: int, bits: int = 16, float32: bool = Fa
 def load_annotations(path, durations) -> list:
     """Load a ``clip_id,instant_s`` CSV into PassByAnnotations.
 
-    ``durations`` maps clip_id to clip duration in seconds (a scalar applies
-    to every clip). Clips present in the mapping but absent from the CSV get
-    an empty annotation, which is how zero-vehicle files are represented.
+    ``durations`` maps clip_id to clip duration in seconds. Clips present in
+    the mapping but absent from the CSV get an empty annotation, which is
+    how zero-vehicle files are represented. Every DataError names the file:
+    ``<path>: line N: <reason>``.
     """
+    try:
+        return _read_annotations(path, durations)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_annotations(path, durations) -> list:
     by_clip: dict = {}
     try:
         with open(path, newline="") as fh:
@@ -300,10 +316,8 @@ def load_annotations(path, durations) -> list:
                     )
                 seen.append(instant)
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read ({exc.strerror or exc})") from exc
 
-    if isinstance(durations, (int, float)):
-        durations = {cid: float(durations) for cid in by_clip}
     all_ids = sorted(set(by_clip) | set(durations))
     out = []
     for cid in all_ids:
@@ -321,30 +335,29 @@ def load_annotations(path, durations) -> list:
     return out
 
 
+def wav_paths(directory):
+    """Paths of the *.wav files in a directory, sorted by name."""
+    try:
+        names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".wav"))
+    except OSError as exc:
+        raise DataError(f"cannot list {directory}: {exc}") from exc
+    if not names:
+        raise DataError(f"no wav files in {directory}")
+    return [os.path.join(directory, f) for f in names]
+
+
 def load_corpus(directory):
-    """Load every *.wav in a directory plus its annotations.csv.
+    """Load every *.wav in a directory (``wav_paths``) plus its annotations.csv.
 
     Returns (clips, annotations) as parallel id-sorted lists. Clips without
     a CSV row become zero-vehicle annotations.
     """
-    wavs = sorted(f for f in os.listdir(directory) if f.lower().endswith(".wav"))
-    if not wavs:
-        raise DataError(f"no wav files in {directory}")
-    clips = [load_clip(os.path.join(directory, f)) for f in wavs]
-    durations = {c.id: c.duration for c in clips}
+    clips = [load_clip(p) for p in wav_paths(directory)]
     ann_path = os.path.join(directory, "annotations.csv")
-    if os.path.exists(ann_path):
-        anns = load_annotations(ann_path, durations)
-    else:
-        anns = [
-            PassByAnnotation(clip_id=c.id, instants=(), duration=c.duration)
-            for c in clips
-        ]
-    ann_by_id = {a.clip_id: a for a in anns}
-    missing = [cid for cid in durations if cid not in ann_by_id]
-    if missing:
-        raise DataError(f"annotations missing for clips: {missing}")
-    return clips, [ann_by_id[c.id] for c in clips]
+    if not os.path.exists(ann_path):
+        return clips, [PassByAnnotation(c.id, (), c.duration) for c in clips]
+    anns = {a.clip_id: a for a in load_annotations(ann_path, {c.id: c.duration for c in clips})}
+    return clips, [anns[c.id] for c in clips]
 
 
 # --- reference distance ---------------------------------------------------

@@ -7,15 +7,16 @@ the deep counter. Each variant is pure data: a detector spec plus which
 predicted series it consumes.
 """
 
+import os
 import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import deepcount, distreg, metrics
+from . import deepcount, distreg, metrics, parallel
 from .dataio import DEFAULT_T_D, load_corpus, reference_distance, split_dataset
-from .features import FeatureMatrix, log_mel, stack_context, stft_power
+from .features import FeatureMatrix, log_mel, read_feature_cache, stack_context, stft_power
 from .metrics import MetricsReport, compute_curve, confidence_interval
 from .nn_core import NumericError
 from .peakdet import DetectorSpec, SmootherSpec, detect_vehicles, peak_candidates
@@ -174,29 +175,43 @@ class RunResult:
     deep_rvce: float | None = None
 
 
-def prepare_dataset(cfg: "ToolConfig"):
-    """Load the corpus in ``paths.data_dir``, extract raw features, build targets.
+def _f0_config(cfg: "ToolConfig") -> "ToolConfig":
+    """``cfg`` with the full-frequency spectrogram (f_min = 0) of VCNN_f0."""
+    return replace(cfg, spectrogram=replace(cfg.spectrogram, f_min=0.0))
 
-    Returns (ids, features_by_id, targets_by_id, anns_by_id, f0 variants of
-    the features when any f0 variant is requested).
+
+def prepare_corpus(cfg: "ToolConfig", data_dir, jobs, cache_dir=None, f0=False):
+    """Load the corpus in ``data_dir``, extract raw features, build targets.
+
+    Clips run on up to ``jobs`` clip workers. A clip reads its features from
+    ``<cache_dir>/<id>.avcf`` when that file exists; otherwise one
+    ``stft_power`` feeds ``log_mel`` + ``stack_context`` for each setting:
+    the configured one, plus VCNN_f0's f_min = 0 when ``f0`` is set. Pass
+    ``cache_dir`` or ``f0``, not both: a cache holds the configured setting.
+
+    Returns (ids, features_by_id, targets_by_id, anns_by_id, f0 features by
+    id or None).
     """
-    clips, anns = load_corpus(cfg.paths["data_dir"])
-    # the f0 variant differs only in its mel bands, so it shares each clip's STFT
-    f0_cfg = replace(cfg.spectrogram, f_min=0.0)
-    features = {}
-    f0_features = {} if "VCNN_f0" in cfg.variants else None
-    for c in clips:
-        power = stft_power(c, cfg.spectrogram)
-        for spec, out in ((cfg.spectrogram, features), (f0_cfg, f0_features)):
-            if out is not None:
-                stacked = stack_context(log_mel(power, spec, c.sample_rate), cfg.q, cfg.stride)
-                out[c.id] = FeatureMatrix(c.id, stacked, spec.frame_period)
+    clips, anns = load_corpus(data_dir)
+    specs = [cfg.spectrogram] + ([_f0_config(cfg).spectrogram] if f0 else [])
+
+    def one(clip):
+        if cache_dir is not None:
+            path = os.path.join(cache_dir, clip.id + ".avcf")
+            if os.path.exists(path):
+                return [read_feature_cache(path, clip, cfg.spectrogram, cfg.q, cfg.stride)]
+        power = stft_power(clip, cfg.spectrogram)
+        lms = [(log_mel(power, s, clip.sample_rate), s.frame_period) for s in specs]
+        return [FeatureMatrix(clip.id, stack_context(m, cfg.q, cfg.stride), fp) for m, fp in lms]
+
+    sets = parallel.parallel_map(one, clips, jobs)
+    features = {c.id: fms[0] for c, fms in zip(clips, sets)}
+    f0_features = {c.id: fms[1] for c, fms in zip(clips, sets)} if f0 else None
     targets = {}
-    for c, a in zip(clips, anns):
-        fm = features[c.id]
-        targets[c.id] = reference_distance(a, fm.frames, fm.frame_period, cfg.t_d)
-    anns_by_id = {a.clip_id: a for a in anns}
-    return [c.id for c in clips], features, targets, anns_by_id, f0_features
+    for a in anns:
+        fm = features[a.clip_id]
+        targets[a.clip_id] = reference_distance(a, fm.frames, fm.frame_period, cfg.t_d)
+    return [c.id for c in clips], features, targets, {a.clip_id: a for a in anns}, f0_features
 
 
 def train_and_predict(cfg: "ToolConfig", ids, features, targets, seed: int):
@@ -251,8 +266,7 @@ def single_run(cfg: "ToolConfig", dataset, run_seed: int) -> RunResult:
         detector=cfg.detector,
     )
     if f0_features is not None:
-        f0_cfg = replace(cfg, spectrogram=replace(cfg.spectrogram, f_min=0.0))
-        *_, ctx.f0_stage2 = train_and_predict(f0_cfg, ids, f0_features, targets, run_seed)
+        *_, ctx.f0_stage2 = train_and_predict(_f0_config(cfg), ids, f0_features, targets, run_seed)
 
     result = RunResult(
         run_seed=run_seed, stage1_mse=mean_mse(stage1, targets), stage2_mse=mean_mse(stage2, targets)
@@ -278,7 +292,9 @@ def multi_run(cfg: "ToolConfig"):
     where bands[variant] is a list of (t_det, mean, low, high) and failures
     holds (seed, message) for runs that diverged.
     """
-    dataset = prepare_dataset(cfg)
+    dataset = prepare_corpus(
+        cfg, cfg.paths["data_dir"], parallel.usable_cores(), f0="VCNN_f0" in cfg.variants
+    )
     results, failures = [], []
     for r in range(cfg.n_runs):
         seed = cfg.seed + r

@@ -17,8 +17,9 @@ import pytest
 
 from numeric_checks import fd_mismatch
 
-from avcount import deepcount, distreg, experiments, metrics, nn_core, peakdet
-from avcount.dataio import PassByAnnotation, load_corpus, reference_distance, split_dataset
+from avcount import deepcount, distreg, experiments, metrics, nn_core, parallel, peakdet
+from avcount.config import ToolConfig
+from avcount.dataio import PassByAnnotation, reference_distance, split_dataset
 from avcount.features import SpectrogramConfig, extract_features
 from avcount.synthgen import SceneSpec, generate_corpus
 
@@ -61,18 +62,10 @@ def a7_corpus(tmp_path_factory):
 
 
 def _load_prepared(directory):
-    clips, anns = load_corpus(directory)
-    features = {c.id: extract_features(c, CFG) for c in clips}
-    targets = {
-        c.id: reference_distance(a, features[c.id].frames, FP, T_D)
-        for c, a in zip(clips, anns)
-    }
-    return {
-        "ids": [c.id for c in clips],
-        "features": features,
-        "targets": targets,
-        "anns": {a.clip_id: a for a in anns},
-    }
+    cfg = ToolConfig()
+    assert (cfg.spectrogram, cfg.t_d, cfg.q, cfg.stride) == (CFG, T_D, 5, 2)
+    ids, features, targets, anns, _ = experiments.prepare_corpus(cfg, directory, parallel.usable_cores())
+    return {"ids": ids, "features": features, "targets": targets, "anns": anns}
 
 
 _RUN_CACHE = {}

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -214,8 +215,14 @@ class TestPipelineCommands:
         cached = tmp_path / "cached"
         main(["train", "--config", fast_config, "--data", corpus_dir, "--out", str(direct), "--jobs", "1"])
         main(["train", "--config", fast_config, "--data", corpus_dir, "--out", str(cached), "--cache", str(cache), "--jobs", "1"])
+        # one clip missing from the cache: hits and misses in one corpus
+        partial_cache, partial = tmp_path / "partial_cache", tmp_path / "partial"
+        shutil.copytree(cache, partial_cache)
+        os.remove(partial_cache / sorted(os.listdir(partial_cache))[0])
+        main(["train", "--config", fast_config, "--data", corpus_dir, "--out", str(partial), "--cache", str(partial_cache), "--jobs", "1"])
         for name in ("stage1.ckpt", "stage2.ckpt", "stats.bin", "pipeline.json"):
             assert (direct / name).read_bytes() == (cached / name).read_bytes()
+            assert (direct / name).read_bytes() == (partial / name).read_bytes()
 
     def test_train_rejects_cache_built_with_other_settings(self, fast_config, corpus_dir, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -305,6 +312,20 @@ class TestPipelineCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error") and "non-finite instant" in err
+        assert f"{data / 'annotations.csv'}: line " in err
+        assert not out.exists()
+
+    def test_train_names_the_unreadable_wav(self, fast_config, corpus_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        fmt = struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 16)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 0)
+        (data / "empty.wav").write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        out = tmp_path / "m"
+        code = main(["train", "--config", fast_config, "--data", str(data), "--out", str(out), "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {data / 'empty.wav'}: zero-length audio\n"
         assert not out.exists()
 
     def test_gridsearch_emits_table(self, fast_config, corpus_dir, tmp_path, capsys):

@@ -104,8 +104,9 @@ class TestLoadClip:
         save_wav(path, np.linspace(-0.5, 0.5, 1000), 44100)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - missing])
-        with pytest.raises(DataError, match=f"declares 2000 bytes but the file holds {2000 - missing}"):
+        with pytest.raises(DataError, match=f"declares 2000 bytes but the file holds {2000 - missing}") as info:
             load_clip(path)
+        assert str(info.value).startswith(f"{path}: data chunk") and str(info.value).count(str(path)) == 1
 
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

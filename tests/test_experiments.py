@@ -17,7 +17,7 @@ from avcount.experiments import (
     grid_search,
     multi_run,
     pp_detector,
-    prepare_dataset,
+    prepare_corpus,
     run_ablation,
     single_run,
 )
@@ -262,24 +262,31 @@ def tiny_config(tiny_corpus):
     )
 
 
-class TestPrepareDataset:
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestPrepareCorpus:
     @pytest.fixture
     def f0_config(self, tiny_config):
         return replace(tiny_config, variants=("VCNN", "VCNN_f0"))
 
-    def test_feature_sets_equal_extract_features(self, f0_config):
-        ids, features, _, _, f0_features = prepare_dataset(f0_config)
-        clips, _ = load_corpus(f0_config.paths["data_dir"])
+    def test_feature_sets_equal_extract_features(self, f0_config, jobs):
+        ids, features, targets, _, f0_features = prepare_corpus(
+            f0_config, f0_config.paths["data_dir"], jobs, f0=True
+        )
+        clips, anns = load_corpus(f0_config.paths["data_dir"])
         f0_spec = replace(f0_config.spectrogram, f_min=0.0)
         assert ids == [c.id for c in clips]
-        for clip in clips:
+        for clip, ann in zip(clips, anns):
             for spec, got in ((f0_config.spectrogram, features), (f0_spec, f0_features)):
                 want = extract_features(clip, spec, f0_config.q, f0_config.stride)
                 assert got[clip.id].clip_id == want.clip_id
                 assert got[clip.id].frame_period == want.frame_period
                 assert np.array_equal(got[clip.id].data, want.data)
+            fm = features[clip.id]  # equal to extract_features, checked above
+            want = reference_distance(ann, fm.frames, fm.frame_period, f0_config.t_d)
+            assert targets[clip.id].frame_period == want.frame_period
+            assert np.array_equal(targets[clip.id].values, want.values)
 
-    def test_stft_runs_once_per_clip(self, f0_config, monkeypatch):
+    def test_stft_runs_once_per_clip(self, f0_config, monkeypatch, jobs):
         calls = []
 
         def counting_stft_power(clip, cfg):
@@ -287,11 +294,11 @@ class TestPrepareDataset:
             return stft_power(clip, cfg)
 
         monkeypatch.setattr(experiments, "stft_power", counting_stft_power)
-        ids, *_ = prepare_dataset(f0_config)
+        ids, *_ = prepare_corpus(f0_config, f0_config.paths["data_dir"], jobs, f0=True)
         assert sorted(calls) == sorted(ids) and len(ids) == 10
 
-    def test_no_f0_features_without_the_variant(self, tiny_config):
-        assert prepare_dataset(tiny_config)[4] is None
+    def test_no_f0_features_without_the_variant(self, tiny_config, jobs):
+        assert prepare_corpus(tiny_config, tiny_config.paths["data_dir"], jobs)[4] is None
 
 
 class TestMultiRun:
@@ -306,14 +313,14 @@ class TestMultiRun:
 
     def test_single_run_equals_direct_evaluation(self, tiny_config):
         results, _, bands = multi_run(replace(tiny_config, n_runs=1))
-        dataset = prepare_dataset(tiny_config)
+        dataset = prepare_corpus(tiny_config, tiny_config.paths["data_dir"], 1)
         direct = single_run(tiny_config, dataset, tiny_config.seed)
         assert reports_equal(results[0].reports["VCNN"], direct.reports["VCNN"])
         assert results[0].stage1_mse == direct.stage1_mse
         assert bands == {}  # bands need at least two runs
 
     def test_identical_seeds_give_zero_width_bands(self, tiny_config):
-        dataset = prepare_dataset(tiny_config)
+        dataset = prepare_corpus(tiny_config, tiny_config.paths["data_dir"], 1)
         a = single_run(tiny_config, dataset, 5)
         b = single_run(tiny_config, dataset, 5)
         assert reports_equal(a.reports["VCNN"], b.reports["VCNN"])
