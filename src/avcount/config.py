@@ -8,68 +8,19 @@ overrides the configured seed.
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import distreg
 from .dataio import DEFAULT_T_D, DataError
 from .deepcount import ConvCounterSpec
 from .experiments import GridSpec, check_variant
 from .features import SpectrogramConfig
-from .nn_core import check_int, check_real
-from .peakdet import DetectorSpec, SmootherSpec
+from .nn_core import check_int, check_keys, check_real, spec_from_json
+from .peakdet import DetectorSpec
 from .synthgen import SceneSpec
 
-_TOP_KEYS = {
-    "seed",
-    "t_d",
-    "k",
-    "q",
-    "stride",
-    "epochs",
-    "split_ratio",
-    "n_clips",
-    "n_runs",
-    "variants",
-    "spectrogram",
-    "stage1",
-    "stage2",
-    "detector",
-    "grid",
-    "scene",
-    "deep",
-    "paths",
-}
-_SPECTROGRAM_KEYS = {"window_len", "hop", "n_mel", "f_min", "f_max", "log_floor", "sample_rate"}
-_STAGE_KEYS = {"batch_size", "learning_rate", "l2_factor", "loss", "epochs"}
-_DETECTOR_KEYS = {"smoother", "m_frac", "p_frac"}
-_GRID_KEYS = {"smoothers", "m_fracs", "p_fracs", "objective_lo", "objective_hi"}
-_SCENE_KEYS = {
-    "duration",
-    "n_vehicles",
-    "rate",
-    "min_gap",
-    "noise_level",
-    "band",
-    "envelope_width",
-    "width_range",
-    "amp_range",
-    "pair_fraction",
-    "pair_gap",
-    "edge_margin",
-    "sample_rate",
-    "hop",
-    "seed",
-}
-_DEEP_KEYS = {"conv_layers", "head_sizes", "loss", "epochs", "batch_clips", "learning_rate", "seed"}
-_PATH_KEYS = {"data_dir", "out_dir"}
 # integer top-level keys and their smallest allowed value
 _INT_KEYS = {"seed": 0, "k": 0, "q": 0, "stride": 1, "epochs": 1, "n_clips": 1, "n_runs": 1}
-
-
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise DataError(f"unknown config key(s) in {where}: {sorted(unknown)}")
 
 
 @dataclass
@@ -105,6 +56,19 @@ class ToolConfig:
         return replace(s1, **self.stage1_overrides), replace(s2, **self.stage2_overrides)
 
 
+# sections whose keys are the fields of one spec type
+_SECTIONS = {
+    "spectrogram": SpectrogramConfig,
+    "detector": DetectorSpec,
+    "grid": GridSpec,
+    "scene": SceneSpec,
+    "deep": ConvCounterSpec,
+}
+_STAGE_KEYS = {"batch_size", "learning_rate", "l2_factor", "loss", "epochs"}
+_PATH_KEYS = ("data_dir", "out_dir")
+_TOP_KEYS = {f.name.removesuffix("_overrides") for f in fields(ToolConfig)}
+
+
 def load_config(path=None) -> ToolConfig:
     """Parse and validate a config file; a missing path means all defaults."""
     raw = {}
@@ -122,48 +86,20 @@ def load_config(path=None) -> ToolConfig:
 
 
 def parse_config(raw: dict) -> ToolConfig:
-    _check_keys(raw, _TOP_KEYS, "top level")
     cfg = ToolConfig()
     try:
-        if "spectrogram" in raw:
-            _check_keys(raw["spectrogram"], _SPECTROGRAM_KEYS, "spectrogram")
-            cfg.spectrogram = SpectrogramConfig(**raw["spectrogram"])
+        check_keys(raw, _TOP_KEYS, "top level")
+        for name, cls in _SECTIONS.items():
+            if name in raw:
+                setattr(cfg, name, spec_from_json(cls, raw[name], name))
         for name in ("stage1", "stage2"):
             if name in raw:
-                _check_keys(raw[name], _STAGE_KEYS, name)
+                check_keys(raw[name], _STAGE_KEYS, name)
                 setattr(cfg, f"{name}_overrides", dict(raw[name]))
-        if "detector" in raw:
-            _check_keys(raw["detector"], _DETECTOR_KEYS, "detector")
-            det = dict(raw["detector"])
-            if "smoother" in det:
-                det["smoother"] = SmootherSpec(tuple(det["smoother"]))
-            cfg.detector = DetectorSpec(**det)
-        if "grid" in raw:
-            _check_keys(raw["grid"], _GRID_KEYS, "grid")
-            grid = dict(raw["grid"])
-            if "smoothers" in grid:
-                grid["smoothers"] = tuple(tuple(s) for s in grid["smoothers"])
-            for key in ("m_fracs", "p_fracs"):
-                if key in grid:
-                    grid[key] = tuple(grid[key])
-            cfg.grid = GridSpec(**grid)
-        if "scene" in raw:
-            _check_keys(raw["scene"], _SCENE_KEYS, "scene")
-            scene = dict(raw["scene"])
-            for key in ("band", "amp_range", "width_range"):
-                if key in scene and scene[key] is not None:
-                    scene[key] = tuple(scene[key])
-            cfg.scene = SceneSpec(**scene)
-        if "deep" in raw:
-            _check_keys(raw["deep"], _DEEP_KEYS, "deep")
-            deep = dict(raw["deep"])
-            if "conv_layers" in deep:
-                deep["conv_layers"] = tuple(tuple(l) for l in deep["conv_layers"])
-            if "head_sizes" in deep:
-                deep["head_sizes"] = tuple(deep["head_sizes"])
-            cfg.deep = ConvCounterSpec(**deep)
         if "paths" in raw:
-            _check_keys(raw["paths"], _PATH_KEYS, "paths")
+            check_keys(raw["paths"], _PATH_KEYS, "paths")
+            if not all(isinstance(value, str) for value in raw["paths"].values()):
+                raise TypeError(f"paths must be strings, got {raw['paths']!r}")
             cfg.paths = dict(raw["paths"])
         for name, minimum in _INT_KEYS.items():
             if name in raw:

@@ -336,14 +336,19 @@ def _read_annotations(path, durations) -> list:
 
 
 def wav_paths(directory):
-    """Paths of the *.wav files in a directory, sorted by name."""
+    """Paths of the *.wav files in a directory, sorted by name; one per clip id."""
     try:
         names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".wav"))
     except OSError as exc:
         raise DataError(f"cannot list {directory}: {exc}") from exc
     if not names:
         raise DataError(f"no wav files in {directory}")
-    return [os.path.join(directory, f) for f in names]
+    paths, by_id = [os.path.join(directory, f) for f in names], {}
+    for name, path in zip(names, paths):
+        other = by_id.setdefault(os.path.splitext(name)[0], path)
+        if other != path:  # e.g. a.wav and a.WAV
+            raise DataError(f"{other} and {path} map to one clip id")
+    return paths
 
 
 def load_corpus(directory):

@@ -272,10 +272,8 @@ def load_counter(path) -> DeepCounter:
     if kind != "conv_counter":
         raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'conv_counter'")
     try:
-        spec_dict["conv_layers"] = tuple(tuple(l) for l in spec_dict["conv_layers"])
-        spec_dict["head_sizes"] = tuple(spec_dict["head_sizes"])
-        spec = ConvCounterSpec(**spec_dict)
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = nn_core.spec_from_json(ConvCounterSpec, spec_dict, "header", complete=True)
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid conv_counter spec ({exc})") from exc
     counter = init_counter(spec)
     named = dict(blocks)

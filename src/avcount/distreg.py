@@ -10,7 +10,7 @@ distances are clamped to [0, t_d].
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,13 +25,12 @@ from .features import (
     extract_features,
     standardize,
 )
-from .nn_core import NetworkSpec, TrainedModel, check_int, check_real
+from .nn_core import NetworkSpec, TrainedModel, check_int, check_keys, check_real, spec_from_json
 
 DEFAULT_K = 15
 STAGE1_L2 = 1e-4
 STAGE2_L2 = 5e-6
 _BUNDLE_KEYS = {"t_d", "k", "q", "stride", "spectrogram"}
-_SPECTROGRAM_KEYS = {f.name for f in fields(SpectrogramConfig)}
 
 
 def stage1_spec(input_dim: int = 528, epochs: int = 100, seed: int = 0, **kw) -> NetworkSpec:
@@ -80,14 +79,14 @@ class RegressionPipeline:
             )
 
 
-def _check_aligned(features, targets, t_d):
-    if len(features) != len(targets):
-        raise ValueError("feature and target clip counts differ")
-    for fm, ds in zip(features, targets):
-        if fm.frames != ds.n_frames:
+def _check_aligned(frame_counts, targets, t_d):
+    """One input frame count per target series, each equal to its length."""
+    if len(frame_counts) != len(targets):
+        raise ValueError("input and target clip counts differ")
+    for n, ds in zip(frame_counts, targets):
+        if n != ds.n_frames:
             raise ValueError(
-                f"clip {fm.clip_id!r}: {fm.frames} feature frames vs "
-                f"{ds.n_frames} target frames"
+                f"clip {ds.clip_id!r}: {n} input frames vs {ds.n_frames} target frames"
             )
         if np.any(ds.values < 0) or np.any(ds.values > t_d):
             raise ValueError(f"clip {ds.clip_id!r}: targets outside [0, {t_d}]")
@@ -96,7 +95,7 @@ def _check_aligned(features, targets, t_d):
 def train_stage1(features, targets, spec: NetworkSpec, t_d: float = DEFAULT_T_D) -> TrainedModel:
     """Train the coarse regressor on all frames of all clips pooled."""
     features, targets = list(features), list(targets)
-    _check_aligned(features, targets, t_d)
+    _check_aligned([fm.frames for fm in features], targets, t_d)
     x = np.concatenate([fm.data for fm in features], axis=0)
     y = np.concatenate([ds.values for ds in targets])
     return nn_core.train(spec, x, y)
@@ -128,20 +127,10 @@ def stage2_windows(coarse, k: int) -> np.ndarray:
 def train_stage2(coarse_list, targets, spec: NetworkSpec, k: int = DEFAULT_K, t_d: float = DEFAULT_T_D) -> TrainedModel:
     """Train the refiner on windows of Stage-1 predictions for the train clips."""
     coarse_list, targets = list(coarse_list), list(targets)
-    _check_aligned_series(coarse_list, targets, t_d)
+    _check_aligned([c.n_frames for c in coarse_list], targets, t_d)
     x = np.concatenate([stage2_windows(c, k) for c in coarse_list], axis=0)
     y = np.concatenate([ds.values for ds in targets])
     return nn_core.train(spec, x, y)
-
-
-def _check_aligned_series(coarse_list, targets, t_d):
-    if len(coarse_list) != len(targets):
-        raise ValueError("coarse and target clip counts differ")
-    for c, ds in zip(coarse_list, targets):
-        if c.n_frames != ds.n_frames:
-            raise ValueError(f"clip {c.clip_id!r}: coarse/target frame mismatch")
-        if np.any(ds.values < 0) or np.any(ds.values > t_d):
-            raise ValueError(f"clip {ds.clip_id!r}: targets outside [0, {t_d}]")
 
 
 def predict_stage2(stage2: TrainedModel, coarse: DistanceSeries, k: int = DEFAULT_K, t_d: float = DEFAULT_T_D) -> DistanceSeries:
@@ -261,11 +250,10 @@ def load_pipeline(directory) -> RegressionPipeline:
     if not np.all(named["std"] > 0):
         raise DataError(f"{stats_path}: block 'std' holds a value <= 0")
     try:
-        if not isinstance(meta, dict) or set(meta) != _BUNDLE_KEYS:
-            raise ValueError(f"pipeline.json must be an object with keys {sorted(_BUNDLE_KEYS)}")
-        spectrogram = meta["spectrogram"]
-        if not isinstance(spectrogram, dict) or set(spectrogram) != _SPECTROGRAM_KEYS:
-            raise ValueError(f"spectrogram must be an object with keys {sorted(_SPECTROGRAM_KEYS)}")
+        check_keys(meta, _BUNDLE_KEYS, "pipeline.json", _BUNDLE_KEYS)
+        spectrogram = spec_from_json(
+            SpectrogramConfig, meta["spectrogram"], "spectrogram", complete=True
+        )
         check_int("q", meta["q"], 0)
         check_int("stride", meta["stride"], 1)
         check_int("k", meta["k"], 0)
@@ -274,7 +262,7 @@ def load_pipeline(directory) -> RegressionPipeline:
             stage1=stage1,
             stage2=stage2,
             feature_stats=FeatureStats(mean=named["mean"], std=named["std"]),
-            spectrogram=SpectrogramConfig(**spectrogram),
+            spectrogram=spectrogram,
             q=meta["q"],
             stride=meta["stride"],
             k=meta["k"],

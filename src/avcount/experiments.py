@@ -18,8 +18,8 @@ from . import deepcount, distreg, metrics, parallel
 from .dataio import DEFAULT_T_D, load_corpus, reference_distance, split_dataset
 from .features import FeatureMatrix, log_mel, read_feature_cache, stack_context, stft_power
 from .metrics import MetricsReport, compute_curve, confidence_interval
-from .nn_core import NumericError
-from .peakdet import DetectorSpec, SmootherSpec, detect_vehicles, peak_candidates
+from .nn_core import NumericError, check_real
+from .peakdet import DetectorSpec, SmootherSpec, check_lengths, detect_vehicles, peak_candidates
 
 if TYPE_CHECKING:  # config imports GridSpec from here
     from .config import ToolConfig
@@ -50,6 +50,13 @@ class GridSpec:
     def __post_init__(self):
         if not (self.smoothers and self.m_fracs and self.p_fracs):
             raise ValueError("grid axes must be nonempty")
+        for lengths in self.smoothers:
+            check_lengths(lengths)
+        for name in ("m_fracs", "p_fracs"):
+            for value in getattr(self, name):
+                check_real(name, value, low=0.0, high=1.0)
+        check_real("objective_lo", self.objective_lo, low=0.0)
+        check_real("objective_hi", self.objective_hi, low=self.objective_lo, high=1.0)
 
 
 def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
@@ -71,6 +78,8 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
     thresholds = np.linspace(0.0, t_d, 100)
     lo, hi = grid.objective_lo * t_d - 1e-12, grid.objective_hi * t_d + 1e-12
     in_range = (lo <= thresholds) & (thresholds <= hi)
+    if not in_range.any():
+        raise ValueError(f"objective range {lo:.6g}..{hi:.6g} s holds no threshold point")
     table = []
     best = None
     for lengths in grid.smoothers:

@@ -56,7 +56,7 @@ class SpectrogramConfig:
             nn_core.check_int(name, getattr(self, name), 1)
         for name in ("f_min", "f_max", "log_floor"):
             nn_core.check_real(name, getattr(self, name))
-        if not 0 <= self.f_min < self.f_max <= self.sample_rate / 2:
+        if not (0 <= self.f_min < self.f_max and 2 * self.f_max <= self.sample_rate):
             raise ValueError("need 0 <= f_min < f_max <= sample_rate/2")
         if not self.window_len > self.hop:
             raise ValueError("need window_len > hop")

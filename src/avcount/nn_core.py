@@ -25,7 +25,8 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +54,10 @@ class NumericError(Exception):
 
 def check_int(name, value, minimum=None):
     """Reject anything but an integer (bool included) below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # the exact-type test spares the slower ABC check in the common case
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
@@ -61,9 +65,11 @@ def check_int(name, value, minimum=None):
 
 def check_real(name, value, low=None, high=None, positive=False):
     """Reject anything but a finite real number (bool included) out of range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) not in (float, int) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinity or an int beyond any float
         raise ValueError(f"{name} must be finite, got {value}")
     if positive and value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
@@ -71,6 +77,32 @@ def check_real(name, value, low=None, high=None, positive=False):
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
+
+
+def check_keys(obj, allowed, where, required=()):
+    """Reject anything but a JSON object with keys in ``allowed`` and all of ``required``."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown, missing = set(obj) - set(allowed), set(required) - set(obj)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    if missing:
+        raise ValueError(f"missing key(s) in {where}: {sorted(missing)}")
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def spec_from_json(cls, obj, where, complete=False):
+    """Spec dataclass ``cls`` from a JSON object keyed by its fields (all, if ``complete``).
+
+    JSON lists become tuples, recursively, and ``cls`` checks the values.
+    Raises TypeError or ValueError.
+    """
+    names = [f.name for f in fields(cls)]
+    check_keys(obj, names, where, names if complete else ())
+    return cls(**{key: _tuples(value) for key, value in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -534,7 +566,7 @@ def load_model(path) -> TrainedModel:
     if kind != "dense":
         raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'dense'")
     try:
-        spec = NetworkSpec(**spec_dict)
+        spec = spec_from_json(NetworkSpec, spec_dict, "header", complete=True)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid dense spec ({exc})") from exc
     model = init_model(spec)

@@ -23,6 +23,17 @@ import numpy as np
 from scipy import signal as _signal
 
 from .dataio import DistanceSeries
+from .nn_core import check_int, check_real
+
+
+def check_lengths(lengths) -> tuple:
+    """MA lengths as a tuple of ints; each must be an odd integer >= 1."""
+    lengths = tuple(lengths)
+    for l in lengths:
+        check_int("MA length", l, 1)
+        if l % 2 == 0:
+            raise ValueError(f"MA lengths must be odd, got {l}")
+    return tuple(map(int, lengths))
 
 
 @dataclass(frozen=True)
@@ -32,10 +43,7 @@ class SmootherSpec:
     lengths: tuple = (5, 3)
 
     def __post_init__(self):
-        lengths = tuple(int(l) for l in self.lengths)
-        object.__setattr__(self, "lengths", lengths)
-        if any(l < 1 or l % 2 == 0 for l in lengths):
-            raise ValueError("MA lengths must be odd and >= 1")
+        object.__setattr__(self, "lengths", check_lengths(self.lengths))
 
     @property
     def total_taps(self) -> int:
@@ -49,8 +57,10 @@ class DetectorSpec:
     p_frac: float = 0.20  # prominence threshold P as a fraction of t_d
 
     def __post_init__(self):
-        if not (0 <= self.m_frac <= 1 and 0 <= self.p_frac <= 1):
-            raise ValueError("m_frac and p_frac must lie in [0, 1]")
+        if not isinstance(self.smoother, SmootherSpec):
+            object.__setattr__(self, "smoother", SmootherSpec(self.smoother))
+        check_real("m_frac", self.m_frac, low=0.0, high=1.0)
+        check_real("p_frac", self.p_frac, low=0.0, high=1.0)
 
 
 @dataclass(frozen=True, eq=False)

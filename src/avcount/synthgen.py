@@ -20,6 +20,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import AudioClip, PassByAnnotation, save_wav
+from .nn_core import check_int, check_real
+
+
+def _check_pair(name, pair, positive=False):
+    """Reject anything but two numbers 0 <= lo <= hi (0 < lo if positive)."""
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise ValueError(f"{name} must be two numbers, got {pair!r}")
+    check_real(f"{name}[0]", pair[0], low=0.0, positive=positive)
+    check_real(f"{name}[1]", pair[1], low=pair[0])
 
 
 @dataclass(frozen=True)
@@ -41,14 +50,22 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.min_gap < 0:
-            raise ValueError("min_gap must be nonnegative")
-        if not 0 <= self.pair_fraction <= 1:
-            raise ValueError("pair_fraction must lie in [0, 1]")
-        if self.n_vehicles is not None and self.n_vehicles < 0:
-            raise ValueError("n_vehicles must be nonnegative")
+        for name in ("duration", "envelope_width", "pair_gap"):
+            check_real(name, getattr(self, name), positive=True)
+        for name in ("rate", "min_gap", "noise_level", "edge_margin"):
+            check_real(name, getattr(self, name), low=0.0)
+        check_real("pair_fraction", self.pair_fraction, low=0.0, high=1.0)
+        for name in ("sample_rate", "hop"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        if self.n_vehicles is not None:
+            check_int("n_vehicles", self.n_vehicles, 0)
+        _check_pair("band", self.band)
+        if 2 * self.band[1] > self.sample_rate:
+            raise ValueError(f"band must end at or below sample_rate / 2, got {self.band}")
+        _check_pair("amp_range", self.amp_range)
+        if self.width_range is not None:
+            _check_pair("width_range", self.width_range, positive=True)
 
     @property
     def frame_period(self) -> float:

@@ -3,13 +3,22 @@ import os
 import shutil
 import struct
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcount.cli import build_parser, main
-from avcount.config import load_config, parse_config
+from avcount.config import ToolConfig, load_config, parse_config
 from avcount.dataio import DataError
-from avcount.nn_core import read_checkpoint, write_checkpoint
+from avcount.deepcount import ConvCounterSpec
+from avcount.experiments import GridSpec
+from avcount.features import SpectrogramConfig
+from avcount.nn_core import NetworkSpec, read_checkpoint, write_checkpoint
+from avcount.peakdet import DetectorSpec
+from avcount.synthgen import SceneSpec
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +113,53 @@ class TestConfig:
             load_config(path)
 
 
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["VCNN", "VCNN_PP10", "mse", "l1"]),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+_SECTION_KEYS = {
+    name: [f.name for f in fields(cls)]
+    for name, cls in [
+        ("spectrogram", SpectrogramConfig),
+        ("stage1", NetworkSpec),
+        ("stage2", NetworkSpec),
+        ("detector", DetectorSpec),
+        ("grid", GridSpec),
+        ("scene", SceneSpec),
+        ("deep", ConvCounterSpec),
+    ]
+}
+_SECTION_KEYS["paths"] = ["data_dir", "out_dir"]
+_SCALAR_KEYS = ["seed", "t_d", "k", "q", "stride", "epochs", "split_ratio", "n_clips", "n_runs", "variants"]
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        **{key: _JSON_VALUES for key in _SCALAR_KEYS + ["unknown"]},
+        **{
+            name: st.dictionaries(st.sampled_from(keys + ["unknown"]), _JSON_VALUES, max_size=4)
+            | _JSON_VALUES
+            for name, keys in _SECTION_KEYS.items()
+        },
+    },
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=_CONFIGS)
+def test_any_json_object_parses_or_is_data_error(raw):
+    try:
+        cfg = parse_config(raw)
+    except DataError:
+        return
+    assert isinstance(cfg, ToolConfig)
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["synth"]) == 1  # missing --out
@@ -144,6 +200,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: invalid config value") and "Traceback" not in err
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("synth", {"scene": {"noise_level": "a"}}),
+            ("synth", {"scene": {"duration": float("nan")}}),
+            ("synth", {"scene": {"sample_rate": 0}}),
+            ("synth", {"scene": {"hop": 0}}),
+            ("synth", {"scene": {"n_vehicles": 1.5}}),
+            ("synth", {"scene": {"amp_range": [1]}}),
+            ("gridsearch", {"grid": {"m_fracs": ["a"]}}),
+            ("gridsearch", {"grid": {"objective_lo": "x"}}),
+            ("gridsearch", {"grid": {"objective_lo": 0.9, "objective_hi": 0.1}}),
+            ("experiment", {"paths": {"data_dir": [1], "out_dir": "reports"}}),
+        ],
+        ids=repr,
+    )
+    def test_malformed_section_value_is_2(self, command, cfg, corpus_dir, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--spec", str(path), "--out", str(out)],
+            "gridsearch": ["gridsearch", "--config", str(path), "--data", corpus_dir, "--out", str(out)],
+            "experiment": ["experiment", "--config", str(path)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid config value") and "Traceback" not in err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

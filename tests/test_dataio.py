@@ -295,6 +295,15 @@ def test_load_corpus_round_trip(tmp_path):
     assert anns[1].instants == ()
 
 
+def test_two_wavs_of_one_clip_id_rejected(tmp_path):
+    for name in ("a.wav", "a.WAV", "b.wav"):
+        save_wav(tmp_path / name, np.zeros(4410) + 0.1, 44100)
+    with pytest.raises(DataError) as info:
+        load_corpus(tmp_path)
+    message = str(info.value)
+    assert str(tmp_path / "a.WAV") in message and str(tmp_path / "a.wav") in message
+
+
 def test_annotation_invariants():
     with pytest.raises(ValueError):
         PassByAnnotation("a", (2.0, 1.0), 10.0)

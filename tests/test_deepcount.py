@@ -226,6 +226,18 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=r"'conv0.weights' has shape \(3, 1, 7\), expected \(3, 1, 5\)"):
             load_counter(path)
 
+    @pytest.mark.parametrize("field", ["head_sizes", "seed"])
+    def test_spec_without_field_rejected(self, tmp_path, field):
+        from avcount import nn_core
+
+        path = tmp_path / "deep.ckpt"
+        save_counter(init_counter(ConvCounterSpec(conv_layers=((3, 5, 2),), epochs=1)), path)
+        kind, spec, blocks = nn_core.read_checkpoint(path)
+        del spec[field]
+        nn_core.write_checkpoint(path, kind, spec, blocks)
+        with pytest.raises(DataError, match=f"missing .*'{field}'"):
+            load_counter(path)
+
     def test_wrong_kind_rejected(self, tmp_path):
         from avcount import nn_core
 

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from avcount import nn_core
-from avcount.dataio import AudioClip, DistanceSeries, PassByAnnotation, reference_distance
+from avcount.dataio import AudioClip, DataError, DistanceSeries, PassByAnnotation, reference_distance
 from avcount.distreg import (
     RegressionPipeline,
     cascade,
@@ -16,6 +18,7 @@ from avcount.distreg import (
     stage2_windows,
     train_pipeline,
     train_stage1,
+    train_stage2,
 )
 from avcount.features import FeatureMatrix, SpectrogramConfig, extract_features, standardize
 from avcount.nn_core import DenseLayer, NetworkSpec, init_model
@@ -79,11 +82,14 @@ class TestStage1:
             train_stage1(features, bad, spec, T_D)
 
     def test_misaligned_lengths_rejected(self):
-        features = [fm(np.zeros((10, 4)))]
         targets = [ds(np.zeros(11))]
-        spec = NetworkSpec(layer_sizes=(4, 1), epochs=1)
-        with pytest.raises(ValueError):
-            train_stage1(features, targets, spec, T_D)
+        spec = NetworkSpec(layer_sizes=(3, 1), epochs=1)
+        with pytest.raises(ValueError, match="10 input frames vs 11 target frames"):
+            train_stage1([fm(np.zeros((10, 3)))], targets, spec, T_D)
+        with pytest.raises(ValueError, match="10 input frames vs 11 target frames"):
+            train_stage2([ds(np.zeros(10))], targets, spec, 1, T_D)
+        with pytest.raises(ValueError, match="clip counts differ"):
+            train_stage2([], targets, spec, 1, T_D)
 
     def test_predictions_clamped_and_framed(self):
         rng = np.random.default_rng(1)
@@ -228,6 +234,17 @@ class TestPipeline:
         assert np.array_equal(a.values, b.values)
         assert back.k == pipeline.k and back.t_d == pipeline.t_d
         assert back.spectrogram == pipeline.spectrogram
+
+    @pytest.mark.parametrize("field", ["log_floor", "sample_rate"])
+    def test_bundle_spectrogram_without_field_rejected(self, tiny_trained, field, tmp_path):
+        pipeline, _, _, _ = tiny_trained
+        save_pipeline(pipeline, tmp_path)
+        path = tmp_path / "pipeline.json"
+        meta = json.loads(path.read_text())
+        del meta["spectrogram"][field]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=f"missing .*'{field}'"):
+            load_pipeline(tmp_path)
 
     def test_stage2_checkpoint_loads_into_stage2_slot(self, tiny_trained, tmp_path):
         pipeline, _, _, _ = tiny_trained

@@ -143,6 +143,29 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="no true vehicles"):
             grid_search([series(np.full(540, T_D))], [ann], GridSpec(), T_D)
 
+    def test_objective_range_without_threshold_point_rejected(self):
+        ann = PassByAnnotation("c", (5.0,), 20.0)
+        grid = GridSpec(objective_lo=0.505, objective_hi=0.505)  # between two grid points
+        with pytest.raises(ValueError, match="holds no threshold point"):
+            grid_search([series(v_shape(round(5.0 / FP)))], [ann], grid, T_D)
+
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            ({"objective_lo": 0.9, "objective_hi": 0.1}, ValueError),
+            ({"objective_lo": -0.1}, ValueError),
+            ({"objective_hi": 1.5}, ValueError),
+            ({"m_fracs": (0.4, "a")}, TypeError),
+            ({"p_fracs": (float("nan"),)}, ValueError),
+            ({"smoothers": ((5, 4),)}, ValueError),
+            ({"smoothers": ((5.0,),)}, TypeError),
+        ],
+        ids=repr,
+    )
+    def test_invalid_grid_rejected(self, kw, error):
+        with pytest.raises(error):
+            GridSpec(**kw)
+
     def test_unpaired_annotations_rejected(self):
         ann = PassByAnnotation("c", (5.0,), 20.0)
         pred = series(v_shape(round(5.0 / FP)))

@@ -339,6 +339,25 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="epochs"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda spec: {k: v for k, v in spec.items() if k != "bn_epsilon"}, r"missing .*'bn_epsilon'"),
+            (lambda spec: {**spec, "dropout": 0.5}, r"unknown .*'dropout'"),
+        ],
+        ids=["without bn_epsilon", "with dropout"],
+    )
+    def test_spec_with_missing_or_extra_field_rejected(self, tmp_path, edit, message):
+        from avcount.nn_core import read_checkpoint, write_checkpoint
+
+        model, _ = self._trained()
+        path = tmp_path / "m.ckpt"
+        save_model(model, path)
+        kind, spec, blocks = read_checkpoint(path)
+        write_checkpoint(path, kind, edit(spec), blocks)
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize("header", [b"{}", b'{"kind": "dense"}', b"[1]", b'"x"'])
     def test_header_without_kind_and_spec_rejected(self, tmp_path, header):
         import struct

@@ -92,6 +92,12 @@ class TestMovingAverage:
         with pytest.raises(ValueError):
             SmootherSpec((5, 2))
 
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(TypeError):
+            SmootherSpec((5.0, 3))
+        with pytest.raises(TypeError):
+            SmootherSpec("53")
+
     def test_filters_applied_in_listed_order(self):
         rng = np.random.default_rng(0)
         v = rng.uniform(0, 1, 40)
@@ -205,6 +211,9 @@ class TestProminence:
 
 
 class TestDetectVehicles:
+    def test_detector_wraps_lengths_into_smoother(self):
+        assert DetectorSpec((7, 3)).smoother == SmootherSpec((7, 3))
+
     def test_paper_like_peak_kept_by_magnitude(self):
         # a weak peak of magnitude 0.46 and prominence 0.20 next to a tall
         # (0.74, 0.74) neighbor, against M = 0.40*0.75 = 0.30 and P = 0.15

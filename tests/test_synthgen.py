@@ -129,9 +129,20 @@ class TestGenerateCorpus:
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SceneSpec(duration=0.0)
-    with pytest.raises(ValueError):
-        SceneSpec(pair_fraction=1.5)
-    with pytest.raises(ValueError):
-        SceneSpec(n_vehicles=-1)
+    for kw, error in [
+        ({"duration": 0.0}, ValueError),
+        ({"pair_fraction": 1.5}, ValueError),
+        ({"n_vehicles": -1}, ValueError),
+        ({"noise_level": "a"}, TypeError),
+        ({"duration": float("nan")}, ValueError),
+        ({"sample_rate": 0}, ValueError),
+        ({"hop": 0}, ValueError),
+        ({"n_vehicles": 1.5}, TypeError),
+        ({"seed": -1}, ValueError),
+        ({"amp_range": (1,)}, ValueError),
+        ({"amp_range": (0.3, 0.1)}, ValueError),
+        ({"width_range": (0.0, 0.5)}, ValueError),
+        ({"band": (1500.0, 30000.0)}, ValueError),
+    ]:
+        with pytest.raises(error):
+            SceneSpec(**kw)
