@@ -25,8 +25,8 @@ import sys
 from dataclasses import replace
 
 from . import deepcount, distreg, experiments, metrics, parallel, peakdet, synthgen
-from .config import ToolConfig, load_config
-from .dataio import DataError, load_clip, load_corpus, wav_paths
+from .config import load_config
+from .dataio import DataError, load_clip, wav_paths
 from .features import extract_features, write_feature_cache
 from .nn_core import NumericError
 
@@ -128,7 +128,7 @@ def cmd_predict(args):
 
 def cmd_count(args):
     pipeline = distreg.load_pipeline(args.model)
-    cfg = load_config(args.config) if args.config else ToolConfig()
+    cfg = load_config(args.config)
     t_det = args.tdet if args.tdet is not None else pipeline.t_d
     if not 0 <= t_det <= pipeline.t_d:
         raise DataError(f"--tdet must lie in [0, {pipeline.t_d}]")
@@ -144,25 +144,21 @@ def cmd_count(args):
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config) if args.config else ToolConfig()
+    cfg = load_config(args.config)
     variants = cfg.variants if args.config else ("VCNN",)
     for v in variants:
         if v == "VCNN_f0":
             raise DataError("VCNN_f0 requires a retrain; use the experiment command")
     pipeline = distreg.load_pipeline(args.model)
-    clips, anns = load_corpus(args.data)
-    anns_by_id = {a.clip_id: a for a in anns}
-
-    def one(clip):
-        fm = extract_features(clip, pipeline.spectrogram, pipeline.q, pipeline.stride)
-        (coarse,), (fine,) = distreg.cascade(pipeline, [fm])
-        return clip.id, coarse, fine
-
-    rows = parallel.parallel_map(one, clips, args.jobs)
+    bundle = replace(
+        cfg, spectrogram=pipeline.spectrogram, q=pipeline.q, stride=pipeline.stride, t_d=pipeline.t_d
+    )
+    ids, features, _, anns_by_id, _ = experiments.prepare_corpus(bundle, args.data, args.jobs)
+    coarse, fine = distreg.cascade(pipeline, [features[i] for i in ids])
     ctx = experiments.EvalContext(
         annotations=anns_by_id,
-        stage2={cid: fine for cid, _, fine in rows},
-        stage1={cid: coarse for cid, coarse, _ in rows},
+        stage2=dict(zip(ids, fine)),
+        stage1=dict(zip(ids, coarse)),
         t_d=pipeline.t_d,
         detector=cfg.detector,
     )
@@ -340,10 +336,7 @@ def main(argv=None) -> int:
     try:
         with parallel.cap(getattr(args, "jobs", None)):
             return args.func(args)
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -21,6 +21,8 @@ from .synthgen import SceneSpec
 
 # integer top-level keys and their smallest allowed value
 _INT_KEYS = {"seed": 0, "k": 0, "q": 0, "stride": 1, "epochs": 1, "n_clips": 1, "n_runs": 1}
+_STAGE_KEYS = {"batch_size", "learning_rate", "l2_factor", "loss", "epochs"}
+_PATH_KEYS = ("data_dir", "out_dir")
 
 
 @dataclass
@@ -44,6 +46,27 @@ class ToolConfig:
     deep: ConvCounterSpec | None = None
     paths: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("stage1", "stage2"):
+            check_keys(getattr(self, f"{name}_overrides"), _STAGE_KEYS, name)
+        check_keys(self.paths, _PATH_KEYS, "paths")
+        if not all(isinstance(value, str) for value in self.paths.values()):
+            raise TypeError(f"paths must be strings, got {self.paths!r}")
+        for name, minimum in _INT_KEYS.items():
+            check_int(name, getattr(self, name), minimum)
+        check_real("t_d", self.t_d, positive=True)
+        check_real("split_ratio", self.split_ratio)
+        if not 0 < self.split_ratio < 1:
+            raise ValueError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+        if not isinstance(self.variants, (list, tuple)):
+            raise TypeError(f"variants must be a list of names, got {self.variants!r}")
+        for name in self.variants:
+            check_variant(name)
+        if not self.variants or len(set(self.variants)) != len(self.variants):
+            raise ValueError(f"variants must name each variant once, got {self.variants!r}")
+        self.variants = tuple(self.variants)
+        self.stage_specs(self.seed)  # the stage sections must make valid specs
+
     def stage_specs(self, seed: int):
         """(Stage-1, Stage-2) network specs seeded seed and seed + 1.
 
@@ -64,8 +87,6 @@ _SECTIONS = {
     "scene": SceneSpec,
     "deep": ConvCounterSpec,
 }
-_STAGE_KEYS = {"batch_size", "learning_rate", "l2_factor", "loss", "epochs"}
-_PATH_KEYS = ("data_dir", "out_dir")
 _TOP_KEYS = {f.name.removesuffix("_overrides") for f in fields(ToolConfig)}
 
 
@@ -86,42 +107,14 @@ def load_config(path=None) -> ToolConfig:
 
 
 def parse_config(raw: dict) -> ToolConfig:
-    cfg = ToolConfig()
+    """ToolConfig from a decoded config file: each section becomes its spec type."""
     try:
         check_keys(raw, _TOP_KEYS, "top level")
+        kw = {key + "_overrides" if key in ("stage1", "stage2") else key: v for key, v in raw.items()}
         for name, cls in _SECTIONS.items():
             if name in raw:
-                setattr(cfg, name, spec_from_json(cls, raw[name], name))
-        for name in ("stage1", "stage2"):
-            if name in raw:
-                check_keys(raw[name], _STAGE_KEYS, name)
-                setattr(cfg, f"{name}_overrides", dict(raw[name]))
-        if "paths" in raw:
-            check_keys(raw["paths"], _PATH_KEYS, "paths")
-            if not all(isinstance(value, str) for value in raw["paths"].values()):
-                raise TypeError(f"paths must be strings, got {raw['paths']!r}")
-            cfg.paths = dict(raw["paths"])
-        for name, minimum in _INT_KEYS.items():
-            if name in raw:
-                check_int(name, raw[name], minimum)
-                setattr(cfg, name, raw[name])
-        if "t_d" in raw:
-            check_real("t_d", raw["t_d"], positive=True)
-            cfg.t_d = raw["t_d"]
-        if "split_ratio" in raw:
-            check_real("split_ratio", raw["split_ratio"])
-            if not 0 < raw["split_ratio"] < 1:
-                raise ValueError(f"split_ratio must be in (0, 1), got {raw['split_ratio']}")
-            cfg.split_ratio = raw["split_ratio"]
-        if "variants" in raw:
-            if not isinstance(raw["variants"], (list, tuple)):
-                raise TypeError(f"variants must be a list of names, got {raw['variants']!r}")
-            for name in raw["variants"]:
-                check_variant(name)
-            if not raw["variants"] or len(set(raw["variants"])) != len(raw["variants"]):
-                raise ValueError(f"variants must name each variant once, got {raw['variants']!r}")
-            cfg.variants = tuple(raw["variants"])
-        cfg.stage_specs(cfg.seed)  # the stage sections must make valid specs
+                kw[name] = spec_from_json(cls, raw[name], name)
+        cfg = ToolConfig(**kw)
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid config value: {exc}") from exc
 

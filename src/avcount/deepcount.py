@@ -5,15 +5,16 @@ edge handling used elsewhere) with ReLU feed a per-channel global average
 pool, then a dense head produces one scalar. Pooling makes the model
 length-independent, so it accepts any series at least one kernel long and
 never consumes a detection threshold. Trains with L1 or L2 loss against
-the true per-clip counts on raw (unsmoothed) predicted distances.
+the true per-clip counts on raw (unsmoothed) predicted distances. Its
+checkpoint (kind ``conv_counter``) goes through ``nn_core.save_net`` and
+``load_net``, with blocks ``conv<i>.*`` and ``head<i>.*``.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn_core
-from .dataio import DataError, DistanceSeries
 from .nn_core import DenseLayer, NumericError, check_int, check_real
 
 
@@ -64,6 +65,8 @@ class ConvLayer:
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
 
+    state = params  # checkpoint blocks: the trainable ones
+
 
 @dataclass
 class DeepCounter:
@@ -75,6 +78,11 @@ class DeepCounter:
     @property
     def layers(self):
         return self.convs + self.head
+
+    @property
+    def groups(self):
+        """(prefix, layers) pairs naming the checkpoint blocks."""
+        return [("conv", self.convs), ("head", self.head)]
 
 
 def init_counter(spec: ConvCounterSpec, rng=None) -> DeepCounter:
@@ -109,14 +117,8 @@ def _conv_same(x, layer: ConvLayer):
     return y + layer.bias[:, None], windows, left
 
 
-def _series_values(series):
-    if isinstance(series, DistanceSeries):
-        return series.values
-    return np.asarray(series, dtype=np.float64)
-
-
 def _forward_full(counter: DeepCounter, series, keep_cache=False):
-    v = _series_values(series)
+    v = np.asarray(series, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("series must be 1-D")
     if v.size < counter.spec.max_kernel:
@@ -220,7 +222,7 @@ def loss_and_gradients(counter: DeepCounter, series_list, counts, grads=None):
 
 def train_counter(spec: ConvCounterSpec, series_list, counts) -> DeepCounter:
     """Adam over clip minibatches for exactly spec.epochs epochs."""
-    series_list = [_series_values(s) for s in series_list]
+    series_list = list(series_list)
     counts = np.asarray(list(counts), dtype=np.float64)
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
@@ -251,32 +253,9 @@ def predict_count(counter: DeepCounter, series) -> int:
     return max(int(np.floor(raw + 0.5)), 0)
 
 
-def _counter_blocks(counter: DeepCounter):
-    """(checkpoint name, array) for every parameter block."""
-    blocks = []
-    for prefix, layers in (("conv", counter.convs), ("head", counter.head)):
-        for i, layer in enumerate(layers):
-            blocks.append((f"{prefix}{i}.weights", layer.weights))
-            blocks.append((f"{prefix}{i}.bias", layer.bias))
-    return blocks
-
-
 def save_counter(counter: DeepCounter, path):
-    blocks = _counter_blocks(counter)
-    blocks.append(("train_loss_history", np.asarray(counter.train_loss_history)))
-    nn_core.write_checkpoint(path, "conv_counter", asdict(counter.spec), blocks)
+    nn_core.save_net(counter, path, "conv_counter")
 
 
 def load_counter(path) -> DeepCounter:
-    kind, spec_dict, blocks = nn_core.read_checkpoint(path)
-    if kind != "conv_counter":
-        raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'conv_counter'")
-    try:
-        spec = nn_core.spec_from_json(ConvCounterSpec, spec_dict, "header", complete=True)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: invalid conv_counter spec ({exc})") from exc
-    counter = init_counter(spec)
-    named = dict(blocks)
-    nn_core.copy_blocks(path, named, _counter_blocks(counter))
-    counter.train_loss_history = list(named.get("train_loss_history", []))
-    return counter
+    return nn_core.load_net(path, "conv_counter", ConvCounterSpec, init_counter)

@@ -22,6 +22,7 @@ from .features import (
     FeatureMatrix,
     FeatureStats,
     SpectrogramConfig,
+    _context_rows,
     extract_features,
     standardize,
 )
@@ -112,16 +113,11 @@ def predict_stage1(stage1: TrainedModel, features: FeatureMatrix, t_d: float = D
     )
 
 
-def stage2_windows(coarse, k: int) -> np.ndarray:
+def stage2_windows(coarse: DistanceSeries, k: int) -> np.ndarray:
     """Rows of 2k+1 consecutive coarse values centered per frame, edges replicated."""
-    values = coarse.values if isinstance(coarse, DistanceSeries) else np.asarray(coarse, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("empty series")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = values.size
-    idx = np.clip(np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :], 0, n - 1)
-    return values[idx]
+    return _context_rows(coarse.values, np.arange(-k, k + 1))
 
 
 def train_stage2(coarse_list, targets, spec: NetworkSpec, k: int = DEFAULT_K, t_d: float = DEFAULT_T_D) -> TrainedModel:
@@ -238,9 +234,7 @@ def load_pipeline(directory) -> RegressionPipeline:
     stage1 = nn_core.load_model(os.path.join(directory, "stage1.ckpt"))
     stage2 = nn_core.load_model(os.path.join(directory, "stage2.ckpt"))
     stats_path = os.path.join(directory, "stats.bin")
-    kind, _, blocks = nn_core.read_checkpoint(stats_path)
-    if kind != "feature_stats":
-        raise DataError(f"{stats_path}: kind {kind!r}, expected 'feature_stats'")
+    _, _, blocks = nn_core.read_checkpoint(stats_path, "feature_stats")
     named = dict(blocks)
     if set(named) != {"mean", "std"}:
         raise DataError(f"{stats_path}: blocks {sorted(named)}, expected ['mean', 'std']")

@@ -31,9 +31,6 @@ TUNED_DETECTORS = {
     "VCNN_f0": DetectorSpec(SmootherSpec((5, 3)), m_frac=0.45, p_frac=0.20),
 }
 
-PP_PROMINENCE_FRACTIONS = (0.05, 0.10, 0.15)
-
-
 def pp_detector(p_frac: float) -> DetectorSpec:
     """Prominence-only detection: m_frac = 1 disables the magnitude clause."""
     return DetectorSpec(SmootherSpec((5, 3)), m_frac=1.0, p_frac=p_frac)
@@ -258,7 +255,7 @@ def train_deep_counter(spec, pipeline, features, anns_by_id, train_ids, seed: in
     """Fit the deep counter on the cascade's Stage-2 series of the train clips."""
     _, fine = distreg.cascade(pipeline, [features[i] for i in train_ids])
     return deepcount.train_counter(
-        replace(spec, seed=seed), fine, [anns_by_id[i].n_vehicles for i in train_ids]
+        replace(spec, seed=seed), [s.values for s in fine], [anns_by_id[i].n_vehicles for i in train_ids]
     )
 
 
@@ -288,7 +285,7 @@ def single_run(cfg: "ToolConfig", dataset, run_seed: int) -> RunResult:
             cfg.deep, pipeline, features, anns_by_id, split.train_ids, run_seed
         )
         n_true = sum(anns_by_id[i].n_vehicles for i in eval_ids)
-        n_est = sum(deepcount.predict_count(counter, stage2[i]) for i in eval_ids)
+        n_est = sum(deepcount.predict_count(counter, stage2[i].values) for i in eval_ids)
         result.deep_rvce = metrics.rvce(n_true, n_est)
     return result
 

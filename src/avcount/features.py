@@ -240,6 +240,12 @@ def hf_lms(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
     return log_mel(stft_power(clip, cfg), cfg, clip.sample_rate)
 
 
+def _context_rows(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``rows[m + offsets]`` for every row m, indices clipped so edges replicate."""
+    n = rows.shape[0]
+    return rows[np.clip(np.arange(n)[:, None] + offsets[None, :], 0, n - 1)]
+
+
 def stack_context(lms: np.ndarray, q: int, stride: int) -> np.ndarray:
     """Concatenate rows m + j*stride for j = -q..q; edges replicate.
 
@@ -250,10 +256,7 @@ def stack_context(lms: np.ndarray, q: int, stride: int) -> np.ndarray:
         raise ValueError("lms must be a non-empty 2-D matrix")
     if q < 0 or stride < 1:
         raise ValueError("need q >= 0 and stride >= 1")
-    n = lms.shape[0]
-    offsets = np.arange(-q, q + 1) * stride
-    idx = np.clip(np.arange(n)[:, None] + offsets[None, :], 0, n - 1)
-    return lms[idx].reshape(n, -1)
+    return _context_rows(lms, np.arange(-q, q + 1) * stride).reshape(lms.shape[0], -1)
 
 
 def extract_features(
@@ -330,9 +333,7 @@ def read_feature_cache(path, clip: AudioClip, cfg: SpectrogramConfig, q: int, st
     same id, or built with any other spectrogram, q or stride setting raises
     DataError naming the mismatch.
     """
-    kind, spec, blocks = nn_core.read_checkpoint(path)
-    if kind != "features" or not isinstance(spec, dict):
-        raise DataError(f"{path}: not a feature cache file")
+    _, spec, blocks = nn_core.read_checkpoint(path, "features")
     want = _cache_settings(clip, cfg, q, stride)
     stale = [k for k in want if spec.get(k) != want[k]]
     if stale:

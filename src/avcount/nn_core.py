@@ -17,8 +17,11 @@ The deep counter (``deepcount``) trains through the same ``Adam``,
 ``run_epochs`` and dense forward/backward.
 
 Checkpoints use a shared container (magic ``AVCNN1``, canonical JSON spec,
-named float64 parameter blocks) that other model kinds reuse with their own
-spec block.
+named float64 parameter blocks); ``read_checkpoint`` refuses a container
+of another kind than its reader expects. One pair, ``save_net`` and
+``load_net``, writes and reads any model: each layer names its blocks in
+``state()`` and the model's ``groups`` prefix them, ``layer<i>.weights``
+here and ``conv<i>.bias`` in ``deepcount``.
 """
 
 import json
@@ -144,6 +147,8 @@ class DenseLayer:
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
 
+    state = params  # checkpoint blocks: the trainable ones
+
 
 class BatchNormLayer:
     def __init__(self, size, momentum, epsilon):
@@ -157,6 +162,9 @@ class BatchNormLayer:
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
 
+    def state(self):  # checkpoint blocks: the trainable ones and the running statistics
+        return {**self.params(), "running_mean": self.running_mean, "running_var": self.running_var}
+
 
 @dataclass
 class TrainedModel:
@@ -164,6 +172,11 @@ class TrainedModel:
     layers: list
     train_loss_history: list = field(default_factory=list)
     val_loss_history: list = field(default_factory=list)
+
+    @property
+    def groups(self):
+        """(prefix, layers) pairs naming the checkpoint blocks ``layer<i>.<block>``."""
+        return [("layer", self.layers)]
 
 
 def init_model(spec: NetworkSpec, rng=None) -> TrainedModel:
@@ -485,8 +498,8 @@ def write_checkpoint(path, kind: str, spec_dict: dict, blocks):
             fh.write(arr.tobytes())
 
 
-def read_checkpoint(path):
-    """Inverse of write_checkpoint -> (kind, spec_dict, [(name, array), ...])."""
+def read_checkpoint(path, kind=None):
+    """Inverse of write_checkpoint -> (kind, spec_dict, [(name, array), ...]), of ``kind`` if given."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -500,6 +513,10 @@ def read_checkpoint(path):
         pos += 4
         header = json.loads(data[pos : pos + hlen].decode("utf-8"))
         pos += hlen
+        if kind is not None and header["kind"] != kind:
+            raise DataError(f"{path}: checkpoint kind {header['kind']!r}, expected {kind!r}")
+        if not isinstance(header["spec"], dict):
+            raise TypeError("spec is not a JSON object")
         (n_blocks,) = struct.unpack_from("<I", data, pos)
         pos += 4
         blocks = []
@@ -523,25 +540,36 @@ def read_checkpoint(path):
         raise DataError(f"{path}: corrupt checkpoint ({exc!r})") from exc
 
 
-def _model_blocks(model: TrainedModel):
-    """(checkpoint name, array) for every parameter and running statistic."""
-    blocks = []
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, DenseLayer):
-            names = ("weights", "bias")
-        else:
-            names = ("gamma", "beta", "running_mean", "running_var")
-        blocks += [(f"layer{i}.{name}", getattr(layer, name)) for name in names]
-    return blocks
+def _state_blocks(groups):
+    """(``<prefix><i>.<block>``, array) for every state block of every layer."""
+    return [
+        (f"{prefix}{i}.{name}", arr)
+        for prefix, layers in groups
+        for i, layer in enumerate(layers)
+        for name, arr in layer.state().items()
+    ]
 
 
-def copy_blocks(path, named: dict, targets):
-    """Copy each checkpoint block into its (name, array) target in place.
+def save_net(model, path, kind: str):
+    """Checkpoint any model with a ``spec``, block ``groups`` and a loss history."""
+    blocks = _state_blocks(model.groups)
+    blocks.append(("train_loss_history", np.asarray(model.train_loss_history)))
+    write_checkpoint(path, kind, asdict(model.spec), blocks)
 
-    Raises DataError naming a block that is missing, has another shape or
-    holds NaN or infinity.
+
+def load_net(path, kind: str, spec_type, init):
+    """Inverse of save_net: ``init`` builds the model from its ``spec_type`` spec.
+
+    A block that is missing, has another shape or holds NaN or infinity raises DataError.
     """
-    for name, target in targets:
+    _, spec_dict, blocks = read_checkpoint(path, kind)
+    try:
+        spec = spec_from_json(spec_type, spec_dict, "header", complete=True)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: invalid {kind} spec ({exc})") from exc
+    model = init(spec)
+    named = dict(blocks)
+    for name, target in _state_blocks(model.groups):
         if name not in named:
             raise DataError(f"{path}: missing parameter block {name!r}")
         block = named[name]
@@ -553,24 +581,13 @@ def copy_blocks(path, named: dict, targets):
         if not np.all(np.isfinite(block)):
             raise DataError(f"{path}: parameter block {name!r} holds NaN or infinity")
         target[...] = block
+    model.train_loss_history = list(named.get("train_loss_history", []))
+    return model
 
 
 def save_model(model: TrainedModel, path):
-    blocks = _model_blocks(model)
-    blocks.append(("train_loss_history", np.asarray(model.train_loss_history)))
-    write_checkpoint(path, "dense", asdict(model.spec), blocks)
+    save_net(model, path, "dense")
 
 
 def load_model(path) -> TrainedModel:
-    kind, spec_dict, blocks = read_checkpoint(path)
-    if kind != "dense":
-        raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'dense'")
-    try:
-        spec = spec_from_json(NetworkSpec, spec_dict, "header", complete=True)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: invalid dense spec ({exc})") from exc
-    model = init_model(spec)
-    named = dict(blocks)
-    copy_blocks(path, named, _model_blocks(model))
-    model.train_loss_history = list(named.get("train_loss_history", []))
-    return model
+    return load_net(path, "dense", NetworkSpec, init_model)

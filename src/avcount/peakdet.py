@@ -16,7 +16,6 @@ endpoints are never peaks. ``scipy.signal.find_peaks`` and
 against a brute-force contour oracle.
 """
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,8 +94,6 @@ class Detections:
 
 def _ma_single(values: np.ndarray, length: int) -> np.ndarray:
     """Centered MA; edge frames average only the in-range samples."""
-    if length % 2 == 0:
-        raise ValueError("MA length must be odd")
     if length == 1:
         return values.copy()
     n = values.size
@@ -107,17 +104,9 @@ def _ma_single(values: np.ndarray, length: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def moving_average_cascade(series, spec: SmootherSpec):
-    """Apply the MA cascade; accepts a DistanceSeries or a bare array."""
-    if isinstance(series, DistanceSeries):
-        out = moving_average_cascade(series.values, spec)
-        return DistanceSeries(
-            clip_id=series.clip_id,
-            values=out,
-            frame_period=series.frame_period,
-            t_d=series.t_d,
-        )
-    values = np.asarray(series, dtype=np.float64)
+def moving_average_cascade(values, spec: SmootherSpec) -> np.ndarray:
+    """Apply the MA cascade to a 1-D array of values."""
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("series must be nonempty")
     for length in spec.lengths:
@@ -163,17 +152,3 @@ def count_at_threshold(detections: Detections, t_det: float) -> int:
     """Detections whose smoothed distance value falls below t_det (strict)."""
     return int(np.count_nonzero(detections.distance < t_det))
 
-
-def export_detections_csv(path, detections_by_clip: dict):
-    """Write clip_id,time_s,distance_s,magnitude_s,prominence_s rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["clip_id", "time_s", "distance_s", "magnitude_s", "prominence_s"]
-        )
-        for clip_id in sorted(detections_by_clip):
-            d = detections_by_clip[clip_id]
-            for t, dist, mag, prom in zip(
-                d.time.tolist(), d.distance.tolist(), d.magnitude.tolist(), d.prominence.tolist()
-            ):
-                writer.writerow([clip_id, f"{t:.6f}", f"{dist:.6f}", f"{mag:.6f}", f"{prom:.6f}"])

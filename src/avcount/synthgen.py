@@ -22,6 +22,9 @@ import numpy as np
 from .dataio import AudioClip, PassByAnnotation, save_wav
 from .nn_core import check_int, check_real
 
+_U32_MAX = 2**32 - 1
+_MAX_WAV_SAMPLES = (_U32_MAX - 36) // 2  # 2 bytes each after the 36 header bytes RIFF counts
+
 
 def _check_pair(name, pair, positive=False):
     """Reject anything but two numbers 0 <= lo <= hi (0 < lo if positive)."""
@@ -58,6 +61,9 @@ class SceneSpec:
         for name in ("sample_rate", "hop"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
+        # 16-bit mono WAVs have 32-bit byte rate and sizes; a small sample_rate cannot overflow a float
+        if 2 * self.sample_rate > _U32_MAX or self.duration * self.sample_rate > _MAX_WAV_SAMPLES:
+            raise ValueError(f"a {self.duration} s scene at {self.sample_rate} Hz does not fit a 16-bit WAV")
         if self.n_vehicles is not None:
             check_int("n_vehicles", self.n_vehicles, 0)
         _check_pair("band", self.band)

@@ -112,6 +112,20 @@ class TestConfig:
         with pytest.raises(DataError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("n_runs", 0, "n_runs must be >= 1"),
+            ("split_ratio", 1.5, r"split_ratio must be in \(0, 1\)"),
+            ("variants", ("bogus",), "unknown variant 'bogus'"),
+            ("stage1_overrides", {"nope": 1}, r"unknown key\(s\) in stage1: \['nope'\]"),
+        ],
+        ids=repr,
+    )
+    def test_config_built_in_code_is_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ToolConfig(**{field: value})
+
 
 _JSON_VALUES = st.recursive(
     st.none()
@@ -229,6 +243,16 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: invalid config value") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sample_rate", [10**400, 10**11], ids=["400 digits", "1e11"])
+    def test_scene_too_large_for_a_wav_is_2(self, sample_rate, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_clips": 1, "scene": {"sample_rate": sample_rate}}))
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid config value") and "does not fit a 16-bit WAV" in err
         assert not out.exists()
 
     def test_help_exits_zero(self):
@@ -497,7 +521,6 @@ class TestPipelineCommands:
         def no_audio(*args):
             raise AssertionError("the corpus was read")
 
-        monkeypatch.setattr("avcount.cli.load_corpus", no_audio)
         monkeypatch.setattr("avcount.experiments.load_corpus", no_audio)
         out_dir = tmp_path / "out"
         cfg_path = tmp_path / "c.json"

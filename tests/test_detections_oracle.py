@@ -4,12 +4,11 @@ The oracle below keeps the earlier representation: one frozen ``Peak`` per
 candidate, a Python filter per (M, P) cell, and an interval matcher that
 rebuilds its arrays from the ``Peak`` fields. Every result of the array path
 (candidates, grid-search table and winner, ablation reports, counts and
-classifications, the detections CSV) must equal the oracle's with ``==``,
+classifications) must equal the oracle's with ``==``,
 on the benchmark's reference series set plus 20 seeded sets made the same
 way (dense 120 s scenes with noisy reference distances).
 """
 
-import csv
 import os
 import runpy
 from dataclasses import dataclass
@@ -120,18 +119,6 @@ def old_grid_search(predictions, annotations, grid, t_d):
     return best[1], table
 
 
-def old_export_detections_csv(path, detections_by_clip):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "time_s", "distance_s", "magnitude_s", "prominence_s"])
-        for clip_id in sorted(detections_by_clip):
-            for p in detections_by_clip[clip_id]:
-                writer.writerow(
-                    [clip_id, f"{p.time:.6f}", f"{p.distance:.6f}", f"{p.magnitude:.6f}",
-                     f"{p.prominence:.6f}"]
-                )
-
-
 def as_fields(detections):
     """A Detections' fields as lists, in the Peak-list layout."""
     return [
@@ -178,16 +165,15 @@ def test_ablation_reports_equal_peak_oracle(series_set, monkeypatch):
     assert all(reports_equal(got[v], want[v]) for v in VARIANTS)
 
 
-def test_counts_and_classes_equal_peak_oracle(series_set, tmp_path):
+def test_counts_and_classes_equal_peak_oracle(series_set):
     ctx = series_set.context
     thresholds = np.linspace(0.0, T_D, 100).tolist()
     for v in VARIANTS:
         det, series_by_id = experiments._variant_inputs(v, ctx)
-        new_by_clip, old_by_clip = {}, {}
         for clip_id, ann in ctx.annotations.items():
             intervals = metrics.build_intervals(ann, T_D)
-            new = new_by_clip[clip_id] = peakdet.detect_vehicles(series_by_id[clip_id], det)
-            old = old_by_clip[clip_id] = old_detect_vehicles(series_by_id[clip_id], det)
+            new = peakdet.detect_vehicles(series_by_id[clip_id], det)
+            old = old_detect_vehicles(series_by_id[clip_id], det)
             assert as_fields(new) == peak_fields(old)
             best, values = old_interval_minima(intervals, old)
             for t in thresholds:
@@ -195,9 +181,6 @@ def test_counts_and_classes_equal_peak_oracle(series_set, tmp_path):
                 tp, below = int(np.sum(best < t)), int(np.sum(values < t))
                 want = (tp, below - tp, len(intervals) - tp)
                 assert metrics.classify_detections(intervals, new, t) == want
-        peakdet.export_detections_csv(tmp_path / "new.csv", new_by_clip)
-        old_export_detections_csv(tmp_path / "old.csv", old_by_clip)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def exact_level(th):

@@ -136,7 +136,7 @@ class TestStage2Windows:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            stage2_windows(np.array([]), 3)
+            stage2_windows(ds(np.array([])), 3)
 
 
 class TestStage2Predict:

@@ -10,7 +10,6 @@ from avcount import experiments
 from avcount.config import ToolConfig
 from avcount.dataio import DistanceSeries, PassByAnnotation, load_corpus, reference_distance
 from avcount.experiments import (
-    PP_PROMINENCE_FRACTIONS,
     TUNED_DETECTORS,
     EvalContext,
     GridSpec,
@@ -63,7 +62,6 @@ class TestTable1:
         assert det.m_frac == 0.45 and det.p_frac == 0.20
 
     def test_pp_variants(self):
-        assert PP_PROMINENCE_FRACTIONS == (0.05, 0.10, 0.15)
         det = pp_detector(0.15)
         assert det.m_frac == 1.0  # magnitude clause disabled
         assert det.p_frac == 0.15

@@ -398,5 +398,5 @@ def test_feature_cache_rejects_garbage(tmp_path):
     from avcount.nn_core import write_checkpoint
 
     write_checkpoint(path, "feature_stats", {}, [("mean", np.zeros(5))])
-    with pytest.raises(DataError, match="not a feature cache"):
+    with pytest.raises(DataError, match="checkpoint kind 'feature_stats', expected 'features'"):
         read_feature_cache(path, cache_clip("bad"), CFG, 5, 2)

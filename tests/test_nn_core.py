@@ -367,6 +367,29 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["dense", "conv_counter", "feature_stats", "features"])
+    def test_every_reader_rejects_another_kind(self, tmp_path, kind):
+        from avcount import deepcount, distreg, features
+        from avcount.dataio import AudioClip
+        from avcount.nn_core import write_checkpoint
+
+        other = "features" if kind == "dense" else "dense"
+        path = tmp_path / "stats.bin"  # the name load_pipeline reads
+        write_checkpoint(path, other, {}, [("mean", np.zeros(3))])
+        save_model(init_model(NetworkSpec(layer_sizes=(3, 1))), tmp_path / "stage1.ckpt")
+        save_model(init_model(NetworkSpec(layer_sizes=(3, 1))), tmp_path / "stage2.ckpt")
+        (tmp_path / "pipeline.json").write_text("{}")
+        clip = AudioClip(samples=np.zeros(8000), sample_rate=44100, id="c")
+        read = {
+            "dense": lambda: load_model(path),
+            "conv_counter": lambda: deepcount.load_counter(path),
+            "feature_stats": lambda: distreg.load_pipeline(tmp_path),
+            "features": lambda: features.read_feature_cache(path, clip, features.SpectrogramConfig(), 5, 2),
+        }[kind]
+        with pytest.raises(DataError) as err:
+            read()
+        assert str(err.value) == f"{path}: checkpoint kind {other!r}, expected {kind!r}"
+
 
 class TestAdam:
     def test_flat_step_equals_per_array_formula(self):

@@ -10,7 +10,6 @@ from avcount.peakdet import (
     SmootherSpec,
     count_at_threshold,
     detect_vehicles,
-    export_detections_csv,
     moving_average_cascade,
     peak_candidates,
     peak_indices,
@@ -113,13 +112,6 @@ class TestMovingAverage:
             out = moving_average_cascade(v, SmootherSpec((7, 5, 3)))
             assert out.min() >= v.min() - 1e-15
             assert out.max() <= v.max() + 1e-15
-
-    def test_series_wrapper_keeps_metadata(self):
-        s = series(np.linspace(0.1, 0.6, 30))
-        out = moving_average_cascade(s, SmootherSpec((5, 3)))
-        assert out.clip_id == s.clip_id
-        assert out.frame_period == s.frame_period
-        assert out.n_frames == s.n_frames
 
 
 class TestFindPeaks:
@@ -348,13 +340,3 @@ class TestDetections:
             Detections([1, 2], [0.1, 0.2], [0.5], [0.1, 0.1], [0.2, 0.2])
         with pytest.raises(ValueError):
             Detections([[1]], [[0.1]], [[0.5]], [[0.1]], [[0.2]])
-
-
-def test_export_detections_csv(tmp_path):
-    v = 0.75 - np.array([0, 0.6, 0, 0.5, 0, 0], dtype=float)
-    kept = detect_vehicles(series(v), DetectorSpec(SmootherSpec(()), 0.3, 0.2))
-    path = tmp_path / "det.csv"
-    export_detections_csv(path, {"c": kept})
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "clip_id,time_s,distance_s,magnitude_s,prominence_s"
-    assert len(lines) == 3

@@ -146,3 +146,14 @@ def test_spec_validation():
     ]:
         with pytest.raises(error):
             SceneSpec(**kw)
+
+
+def test_scene_must_fit_a_16_bit_wav():
+    # 2 bytes per sample plus 36 header bytes must fit RIFF's 32-bit size field
+    SceneSpec(duration=48600.0)  # 2,143,260,000 samples at 44.1 kHz
+    with pytest.raises(ValueError, match="does not fit a 16-bit WAV"):
+        SceneSpec(duration=48700.0)  # 2,147,670,000 samples
+    SceneSpec(sample_rate=2**31 - 1, duration=0.5)  # the byte rate is 32-bit too
+    for sample_rate in (2**31, 10**11, 10**400):
+        with pytest.raises(ValueError, match="does not fit a 16-bit WAV"):
+            SceneSpec(sample_rate=sample_rate, duration=1e-6)
