@@ -3,7 +3,7 @@
 Every section is optional and falls back to the method defaults; unknown
 keys are rejected anywhere in the tree so a typo cannot silently revert a
 parameter to its default. The AVC_SEED environment variable, when set,
-overrides the configured seed.
+overrides the configured seed and is checked like it.
 """
 
 import json
@@ -121,7 +121,7 @@ def parse_config(raw: dict) -> ToolConfig:
     env_seed = os.environ.get("AVC_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            cfg = replace(cfg, seed=int(env_seed))
         except ValueError as exc:
-            raise DataError(f"AVC_SEED must be an integer, got {env_seed!r}") from exc
+            raise DataError(f"AVC_SEED must be a nonnegative integer, got {env_seed!r}") from exc
     return cfg

@@ -102,6 +102,11 @@ class TestConfig:
         with pytest.raises(DataError):
             parse_config({})
 
+    def test_negative_env_seed_rejected(self, monkeypatch):
+        monkeypatch.setenv("AVC_SEED", "-1")
+        with pytest.raises(DataError, match="AVC_SEED must be a nonnegative integer, got '-1'"):
+            parse_config({})
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(DataError):
             load_config(tmp_path / "absent.json")
