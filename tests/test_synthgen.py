@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,65 @@ class TestGenerateCorpus:
     def test_zero_clip_count_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_corpus(SceneSpec(seed=0), 0, tmp_path)
+
+
+# clip seeds 4-7: one vehicle, a pair rescaled to the 0.99 peak, no vehicle,
+# another rescaled pair; every event draws its own width
+GOLDEN_SCENE = SceneSpec(
+    duration=8.0,
+    rate=0.6,
+    min_gap=1.5,
+    pair_fraction=0.5,
+    pair_gap=0.6,
+    edge_margin=1.0,
+    width_range=(0.1, 0.4),
+    amp_range=(0.2, 0.6),
+    sample_rate=16000,
+    hop=400,
+    band=(1500.0, 6000.0),
+    seed=4,
+)
+GOLDEN_CORPUS_SHA256 = {
+    "annotations.csv": "d7e952d9fc32efe6bc908d12bc574057cd5c92119f4cf165c57d04df415e6ce5",
+    "clip0000.wav": "1d3046d0aaf6c980f28735f180048098fe0b13ba1f6cdfc4233c20ff5047c8d9",
+    "clip0001.wav": "e7baf05d234e4be56193d4dc1a0e924bbdc667ad2c052b60695a161d6dddf3db",
+    "clip0002.wav": "a45f182a8ff4c4bc432534cb76360814473b2035e455d7208d72a32f18381fb4",
+    "clip0003.wav": "be20782b36cf4ba1cca28e3acad3cf1861a545e4f23ab84b0daa53f1f65490c3",
+    "manifest.csv": "df0140db4c2da1fd24fb968d058598fe46aa66cf5c99dc6d632629db19fa179d",
+}
+# the benchmark's dense evaluate scene: 120 s, 40 vehicles, 1 kHz
+DENSE_SCENE = SceneSpec(
+    duration=120.0,
+    n_vehicles=40,
+    pair_fraction=0.5,
+    sample_rate=1000,
+    hop=37,
+    band=(250.0, 300.0),
+    seed=100,
+)
+DENSE_SAMPLES_SHA256 = "61d4d38b764f7e7961c42b789a9ce568e6f920f832399abe6c04a5e988623650"
+
+
+def _file_digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+class TestGolden:
+    """Synthesized bytes pinned by SHA-256, so a faster synthesizer must
+    reproduce every sample, not just agree with itself."""
+
+    def test_corpus_files(self, tmp_path):
+        manifest = generate_corpus(GOLDEN_SCENE, 4, tmp_path)
+        assert [n for _, n in manifest] == [1, 2, 0, 2]
+        for i in (1, 3):  # the pairs hit the peak rescale
+            clip, _ = generate_scene(replace(GOLDEN_SCENE, seed=GOLDEN_SCENE.seed + i))
+            assert np.max(np.abs(clip.samples)) == pytest.approx(0.99, abs=1e-12)
+        assert _file_digests(tmp_path) == GOLDEN_CORPUS_SHA256
+
+    def test_dense_scene_samples(self):
+        clip, ann = generate_scene(DENSE_SCENE)
+        assert ann.n_vehicles == 40 and clip.samples.dtype == np.float64
+        assert hashlib.sha256(clip.samples.tobytes()).hexdigest() == DENSE_SAMPLES_SHA256
 
 
 def test_spec_validation():
