@@ -14,8 +14,8 @@ go to up to ``--jobs`` workers at once, and a clip's STFT borrows only the
 cores that the clip workers leave idle (``avcount.parallel``). A library
 call such as ``distreg.predict_distance`` may use every usable core for one
 clip's STFT. Outputs depend on neither. ``synth`` and ``experiment`` take
-no ``--jobs``; they run as library calls do, so ``experiment`` extracts its
-clips on up to usable-cores clip workers.
+no ``--jobs``; they run as library calls do, so ``synth`` writes its clips
+and ``experiment`` extracts its clips on up to usable-cores clip workers.
 """
 
 import argparse
@@ -154,7 +154,12 @@ def cmd_eval(args):
         cfg, spectrogram=pipeline.spectrogram, q=pipeline.q, stride=pipeline.stride, t_d=pipeline.t_d
     )
     ids, features, _, anns_by_id, _ = experiments.prepare_corpus(bundle, args.data, args.jobs)
-    coarse, fine = distreg.cascade(pipeline, [features[i] for i in ids])
+
+    def one(clip_id):
+        (coarse,), (fine,) = distreg.cascade(pipeline, [features[clip_id]])
+        return coarse, fine
+
+    coarse, fine = zip(*parallel.parallel_map(one, ids, args.jobs))
     ctx = experiments.EvalContext(
         annotations=anns_by_id,
         stage2=dict(zip(ids, fine)),

@@ -308,6 +308,7 @@ def _cache_settings(clip: AudioClip, cfg: SpectrogramConfig, q: int, stride: int
         samples_sha256=hashlib.sha256(clip.samples.tobytes()).hexdigest(),
         q=q,
         stride=stride,
+        blas_threads=parallel.blas_threads(),  # the mel product rounds by it
     )
     return settings
 
@@ -318,8 +319,9 @@ def write_feature_cache(
     """Features ``fm`` of ``clip`` as an ``AVCNN1`` container of kind ``features``.
 
     The spec records the clip id, its sample count and a SHA-256 of its
-    samples, the frame period and the settings the features were extracted
-    with, so a reader can refuse a stale cache.
+    samples, the frame period, the settings the features were extracted
+    with and the BLAS thread count (``parallel.blas_threads``), so a reader
+    can refuse a stale cache.
     """
     spec = _cache_settings(clip, cfg, q, stride)
     spec["frame_period"] = fm.frame_period
@@ -330,8 +332,8 @@ def read_feature_cache(path, clip: AudioClip, cfg: SpectrogramConfig, q: int, st
     """Load a cache written for ``clip`` under the given settings.
 
     A cache of another kind, for another clip id, for other audio under the
-    same id, or built with any other spectrogram, q or stride setting raises
-    DataError naming the mismatch.
+    same id, or built with any other spectrogram, q or stride setting or
+    BLAS thread count raises DataError naming the mismatch.
     """
     _, spec, blocks = nn_core.read_checkpoint(path, "features")
     want = _cache_settings(clip, cfg, q, stride)

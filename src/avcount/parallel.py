@@ -14,8 +14,15 @@ row, never its value, so outputs do not depend on any of this.
 The count and the pool are process-wide, as the cores are. The helper
 pool has usable cores - 1 threads, started on first use. A forked child
 starts with a fresh pool and a full count.
+
+OpenBLAS's own threads are another matter: their count does change the
+last bits of a matrix product, so ``blas_threads`` reports it for records
+such as the feature cache.
 """
 
+import ctypes
+import functools
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -28,6 +35,25 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads_getter():
+    import numpy
+
+    libdir = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def blas_threads():
+    """Thread count of numpy's bundled scipy-openblas; None on any other BLAS."""
+    getter = _openblas_threads_getter()
+    return None if getter is None else getter()
 
 
 def _reset(cores=None):

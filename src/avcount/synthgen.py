@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import parallel
 from .dataio import AudioClip, PassByAnnotation, save_wav
 from .nn_core import check_int, check_real
 
@@ -133,13 +134,20 @@ def _place_instants(spec: SceneSpec, rng):
 
 
 def generate_scene(spec: SceneSpec):
-    """One labeled scene -> (AudioClip, PassByAnnotation)."""
+    """One labeled scene -> (AudioClip, PassByAnnotation).
+
+    Each full-length pass writes into a reused buffer, and the time axis and
+    the envelope term are dropped before the FFT, so a 20 s 44.1 kHz scene
+    peaks at ~35 MB of working memory (about five sample-length float64
+    arrays), once per clip worker of ``generate_corpus``.
+    """
     rng = np.random.default_rng(spec.seed)
     instants = _place_instants(spec, rng)
     n_samples = int(round(spec.duration * spec.sample_rate))
     t = np.arange(n_samples) / spec.sample_rate
 
     envelope = np.zeros(n_samples)
+    term = np.empty(n_samples)
     for tk in instants:
         amp = rng.uniform(*spec.amp_range)
         width = (
@@ -147,23 +155,33 @@ def generate_scene(spec: SceneSpec):
             if spec.width_range is not None
             else spec.envelope_width
         )
-        envelope += amp / (1.0 + ((t - tk) / width) ** 2)
+        # envelope += amp / (1.0 + ((t - tk) / width) ** 2), pass by pass
+        np.subtract(t, tk, out=term)
+        term /= width
+        np.square(term, out=term)
+        term += 1.0
+        np.divide(amp, term, out=term)
+        envelope += term
+    del t, term
 
-    signal = spec.noise_level * rng.standard_normal(n_samples)
+    signal = rng.standard_normal(n_samples)
+    signal *= spec.noise_level
     if instants:
-        carrier = rng.standard_normal(n_samples)
-        spectrum = np.fft.rfft(carrier)
+        spectrum = np.fft.rfft(rng.standard_normal(n_samples))
         freqs = np.fft.rfftfreq(n_samples, 1.0 / spec.sample_rate)
         lo, hi = spec.band
         ramp = 200.0
-        mask = np.clip((freqs - (lo - ramp)) / ramp, 0.0, 1.0) * np.clip(
+        spectrum *= np.clip((freqs - (lo - ramp)) / ramp, 0.0, 1.0) * np.clip(
             ((hi + ramp) - freqs) / ramp, 0.0, 1.0
         )
-        carrier = np.fft.irfft(spectrum * mask, n=n_samples)
+        del freqs
+        carrier = np.fft.irfft(spectrum, n=n_samples)
+        del spectrum
         carrier /= carrier.std()
-        signal = signal + carrier * envelope
+        carrier *= envelope
+        signal += carrier
 
-    peak = np.max(np.abs(signal))
+    peak = max(signal.max(), -signal.min())  # max |x| without an |x| copy
     if peak > 0.99:
         signal *= 0.99 / peak
 
@@ -178,22 +196,27 @@ def generate_corpus(spec: SceneSpec, n_clips: int, out_dir):
     """Write n_clips scenes as WAV + annotations.csv + manifest.csv.
 
     Per-clip seeds are spec.seed + index, so corpora are reproducible
-    bit-for-bit. Returns [(clip_id, n_vehicles), ...].
+    bit-for-bit. Clips are generated and written on up to usable-cores clip
+    workers (``parallel.parallel_map``), and the rows are collected in index
+    order, so no byte depends on the worker count. A clip that fails raises
+    the error of the first failing index, and then neither CSV is written.
+    Returns [(clip_id, n_vehicles), ...].
     """
     if n_clips < 1:
         raise ValueError("n_clips must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
+
+    def one(i):
+        clip, ann = generate_scene(replace(spec, seed=spec.seed + i))
+        save_wav(os.path.join(out_dir, f"clip{i:04d}.wav"), clip.samples, spec.sample_rate)
+        return ann.instants
+
     manifest = []
     ann_rows = []
-    for i in range(n_clips):
+    for i, instants in enumerate(parallel.parallel_map(one, range(n_clips), parallel.usable_cores())):
         clip_id = f"clip{i:04d}"
-        clip, ann = generate_scene(replace(spec, seed=spec.seed + i))
-        save_wav(
-            os.path.join(out_dir, f"{clip_id}.wav"), clip.samples, spec.sample_rate
-        )
-        for tk in ann.instants:
-            ann_rows.append((clip_id, f"{tk:.3f}"))  # 1 ms precision
-        manifest.append((clip_id, ann.n_vehicles))
+        ann_rows.extend((clip_id, f"{tk:.3f}") for tk in instants)  # 1 ms precision
+        manifest.append((clip_id, len(instants)))
     with open(os.path.join(out_dir, "annotations.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "instant_s"])

@@ -26,9 +26,14 @@ def fd_mismatch(fd, g, zero_tol=1e-7):
     return abs(fd - g) / denom
 
 
-@contextmanager
 def one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread; skip on any other BLAS."""
+    return blas_thread_count(1)
+
+
+@contextmanager
+def blas_thread_count(n):
+    """Run numpy's bundled OpenBLAS on ``n`` threads; skip on any other BLAS."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "*openblas*")):
         lib = ctypes.CDLL(path)
@@ -38,13 +43,13 @@ def one_blas_thread():
             setter.argtypes, setter.restype = [ctypes.c_int], None
             getter.argtypes, getter.restype = [], ctypes.c_int
             before = getter()
-            setter(1)
+            setter(n)
             try:
                 yield
             finally:
                 setter(before)
             return
-    pytest.skip("golden digests are recorded for numpy's bundled OpenBLAS")
+    pytest.skip("needs numpy's bundled OpenBLAS to set its thread count")
 
 
 def reports_equal(a, b):

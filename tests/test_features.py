@@ -19,7 +19,7 @@ from avcount.features import (
     write_feature_cache,
 )
 from avcount.synthgen import SceneSpec, generate_scene
-from numeric_checks import one_blas_thread
+from numeric_checks import blas_thread_count, one_blas_thread
 
 
 def tone_clip(freq, n=882000, rate=44100, amp=0.5, clip_id="tone"):
@@ -386,6 +386,19 @@ def test_feature_cache_rejects_other_audio_under_same_id(tmp_path, clip, setting
         read_feature_cache(path, clip, CFG, 5, 2)
     named = [k for k in ("clip_id", "n_samples", "samples_sha256") if f"{k} " in str(exc.value)]
     assert named == settings
+
+
+def test_feature_cache_rejects_another_blas_thread_count(tmp_path):
+    from avcount.dataio import DataError
+
+    fm = FeatureMatrix(clip_id="clip x", data=np.ones((3, 5)), frame_period=0.037)
+    path = tmp_path / "c.avcf"
+    with one_blas_thread():
+        write_feature_cache(path, cache_clip(), fm, CFG, 5, 2)
+        read_feature_cache(path, cache_clip(), CFG, 5, 2)
+    with blas_thread_count(2):
+        with pytest.raises(DataError, match=r"blas_threads 1 \(expected 2\)$"):
+            read_feature_cache(path, cache_clip(), CFG, 5, 2)
 
 
 def test_feature_cache_rejects_garbage(tmp_path):

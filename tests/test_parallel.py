@@ -231,3 +231,11 @@ def test_count_of_one_recording_borrows_a_helper(bundle, cores, capsys):
     assert main(argv + ["--jobs", "2"]) == 0
     assert pool.submitted == 1
     assert capsys.readouterr().out == alone
+
+
+def test_blas_threads_reads_the_openblas_count():
+    from numeric_checks import blas_thread_count
+
+    for n in (1, 2):
+        with blas_thread_count(n):
+            assert parallel.blas_threads() == n

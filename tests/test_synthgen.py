@@ -1,9 +1,11 @@
 import hashlib
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from avcount import parallel, synthgen
 from avcount.dataio import load_corpus, reference_distance
 from avcount.features import SpectrogramConfig, mel_filterbank, stft_power
 from avcount.synthgen import SceneSpec, generate_corpus, generate_scene
@@ -188,6 +190,46 @@ class TestGolden:
         clip, ann = generate_scene(DENSE_SCENE)
         assert ann.n_vehicles == 40 and clip.samples.dtype == np.float64
         assert hashlib.sha256(clip.samples.tobytes()).hexdigest() == DENSE_SAMPLES_SHA256
+
+
+class TestWorkerCount:
+    """generate_corpus runs on usable_cores() clip workers; none of its
+    output may depend on how many there are."""
+
+    def _use_cores(self, monkeypatch, cores):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+        threads = set()
+        scene = synthgen.generate_scene
+
+        def spy(spec):
+            threads.add(threading.get_ident())
+            return scene(spec)
+
+        monkeypatch.setattr(synthgen, "generate_scene", spy)
+        return threads
+
+    def test_bytes_equal_for_one_and_four_workers(self, tmp_path, monkeypatch):
+        digests = {}
+        for cores in (1, 4):
+            threads = self._use_cores(monkeypatch, cores)
+            generate_corpus(GOLDEN_SCENE, 6, tmp_path / str(cores))
+            assert (len(threads) == 1) == (cores == 1)
+            digests[cores] = _file_digests(tmp_path / str(cores))
+        assert digests[1] == digests[4]
+        assert len(digests[1]) == 8
+
+    def test_first_failing_clip_raises_and_no_csv_is_written(self, tmp_path, monkeypatch):
+        # clip seeds 2-5: two scenes fit six vehicles with two pairs, the
+        # third and fourth plan one pair too few and cannot fit
+        spec = replace(GOLDEN_SCENE, n_vehicles=6, min_gap=1.5, width_range=None, seed=2)
+        message = "infeasible scene: 6 vehicles with min_gap 1.5 do not fit in 8.0 s"
+        for cores in (1, 4):
+            self._use_cores(monkeypatch, cores)
+            out = tmp_path / str(cores)
+            with pytest.raises(ValueError) as exc:
+                generate_corpus(spec, 4, out)
+            assert str(exc.value) == message
+            assert sorted(p.name for p in out.iterdir()) == ["clip0000.wav", "clip0001.wav"]
 
 
 def test_spec_validation():
