@@ -13,6 +13,7 @@ from avcount.cli import main
 from avcount.dataio import AudioClip
 from avcount.features import SpectrogramConfig, extract_features, n_frames_for, stft_power
 from avcount.synthgen import SceneSpec, generate_corpus
+from numeric_checks import blas_thread_count
 
 CFG = SpectrogramConfig()
 
@@ -234,8 +235,6 @@ def test_count_of_one_recording_borrows_a_helper(bundle, cores, capsys):
 
 
 def test_blas_threads_reads_the_openblas_count():
-    from numeric_checks import blas_thread_count
-
     for n in (1, 2):
         with blas_thread_count(n):
             assert parallel.blas_threads() == n

@@ -199,11 +199,10 @@ class TestWorkerCount:
     def _use_cores(self, monkeypatch, cores):
         monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
         threads = set()
-        scene = synthgen.generate_scene
 
         def spy(spec):
             threads.add(threading.get_ident())
-            return scene(spec)
+            return generate_scene(spec)
 
         monkeypatch.setattr(synthgen, "generate_scene", spy)
         return threads
