@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 from dataclasses import replace
 
@@ -261,6 +262,40 @@ def test_report_bytes_golden(tmp_path):
             write(path, report)
             digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN_SHA256
+
+
+GRID_GOLDEN = {
+    "default": (
+        GridSpec(),
+        "ad9f0b0a02ec168a0fc03431b58df130912295bc59485620325a085a706f3d9d",
+        "9176300de969e89b6f66389c772d0cc9ec750caab039639323e19ae7e8e92acf",
+    ),
+    "edges": (
+        GridSpec(smoothers=((1,), (5, 3)), m_fracs=(0.0, 1.0), p_fracs=(0.0, 1.0)),
+        "c1b8aaf2320a4d1a95b256986196973739c2df05125d3d2b413e0c7ec5984f30",
+        "0bcf7df6505a944f13544c3db91ab405e45aa5c75ebf1f8afe1a618e34411cef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
+def test_grid_search_golden(name):
+    """grid_search's table (the repr of every score) and best cell, pinned by SHA-256."""
+    grid, table_sha256, best_sha256 = GRID_GOLDEN[name]
+    ctx = golden_context()
+    best, table = grid_search(
+        list(ctx.stage2.values()), list(ctx.annotations.values()), grid, T_D
+    )
+    rows = [
+        [list(r["smoother"]), repr(r["m_frac"]), repr(r["p_frac"]), repr(r["mean_abs_rvce"])]
+        for r in table
+    ]
+    best_spec = repr((best.smoother.lengths, best.m_frac, best.p_frac))
+    got = (
+        hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
+        hashlib.sha256(best_spec.encode()).hexdigest(),
+    )
+    assert got == (table_sha256, best_sha256)
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,15 @@ import bisect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcount.dataio import DistanceSeries
 from avcount.peakdet import (
     Detections,
     DetectorSpec,
     SmootherSpec,
+    _ma_single,
     count_at_threshold,
     detect_vehicles,
     moving_average_cascade,
@@ -104,6 +107,28 @@ class TestMovingAverage:
         both = moving_average_cascade(once, SmootherSpec((3,)))
         cascade = moving_average_cascade(v, SmootherSpec((5, 3)))
         assert np.array_equal(both, cascade)
+
+    @staticmethod
+    def gather_oracle(values, length):
+        """The clipped-window mean of every frame read from one index gather."""
+        if length == 1:
+            return values.copy()
+        n = values.size
+        half = length // 2
+        csum = np.concatenate(([0.0], np.cumsum(values)))
+        lo = np.maximum(np.arange(n) - half, 0)
+        hi = np.minimum(np.arange(n) + half, n - 1) + 1
+        return (csum[hi] - csum[lo]) / (hi - lo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80),
+        length=st.integers(0, 7).map(lambda h: 2 * h + 1),
+    )
+    def test_single_pass_equals_gather_oracle_bitwise(self, values, length):
+        v = np.array(values)
+        out = _ma_single(v, length)
+        assert out.tobytes() == self.gather_oracle(v, length).tobytes()
 
     def test_never_expands_value_range(self):
         rng = np.random.default_rng(1)
