@@ -77,6 +77,8 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
     in_range = (lo <= thresholds) & (thresholds <= hi)
     if not in_range.any():
         raise ValueError(f"objective range {lo:.6g}..{hi:.6g} s holds no threshold point")
+    m_thresh = np.array(grid.m_fracs, dtype=np.float64)[:, None, None] * t_d
+    p_thresh = np.array(grid.p_fracs, dtype=np.float64)[None, :, None] * t_d
     table = []
     best = None
     for lengths in grid.smoothers:
@@ -91,12 +93,21 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
         distance = distance[order]
         magnitude = np.concatenate([c.magnitude for c in cands])[order]
         prominence = np.concatenate([c.prominence for c in cands])[order]
-        for m_frac in grid.m_fracs:
-            for p_frac in grid.p_fracs:
-                keep = (magnitude > m_frac * t_d) | (prominence > p_frac * t_d)
-                below = np.searchsorted(distance[keep], thresholds, side="left")
-                rvce = (n_true - below) / n_true * 100.0
-                score = float(np.mean(np.abs(rvce[in_range])))
+        # every (M, P) cell at once: the candidates below a threshold are a
+        # prefix of the sorted pool, so a cell's count below it is its kept
+        # count over that prefix
+        keep = (magnitude > m_thresh) | (prominence > p_thresh)
+        kept_before = np.zeros(keep.shape[:2] + (distance.size + 1,), dtype=np.intp)
+        np.cumsum(keep, axis=2, out=kept_before[..., 1:])
+        # np.take keeps each cell's row contiguous, so the mean sums it
+        # pairwise exactly as the mean of one cell's 1-D row would
+        prefix = np.searchsorted(distance, thresholds[in_range], side="left")
+        below = np.take(kept_before, prefix, axis=2)
+        rvce = (n_true - below) / n_true * 100.0
+        scores = np.mean(np.abs(rvce), axis=2)
+        for i, m_frac in enumerate(grid.m_fracs):
+            for j, p_frac in enumerate(grid.p_fracs):
+                score = float(scores[i, j])
                 table.append(
                     {
                         "smoother": tuple(lengths),

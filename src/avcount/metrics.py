@@ -112,17 +112,22 @@ def compute_curve(per_clip, t_d: float, n_points: int = 100) -> MetricsReport:
     p_fp = (below - tp) / n_true
     p_fn = 1.0 - p_tp
 
+    # the first grid point where pFP equals pFN, or after which their
+    # difference changes sign
     efp_tdet = efp_value = None
     diff = p_fp - p_fn
-    for i in range(n_points):
+    sign = np.sign(diff)
+    hit = sign == 0.0
+    hit[:-1] |= sign[:-1] * sign[1:] < 0.0
+    first = np.flatnonzero(hit)
+    if first.size:
+        i = first[0]
         if diff[i] == 0.0:
             efp_tdet, efp_value = float(thresholds[i]), float(p_fp[i])
-            break
-        if i + 1 < n_points and (diff[i] < 0.0 < diff[i + 1] or diff[i] > 0.0 > diff[i + 1]):
+        else:
             frac = diff[i] / (diff[i] - diff[i + 1])
             efp_tdet = float(thresholds[i] + frac * (thresholds[i + 1] - thresholds[i]))
             efp_value = float(p_fp[i] + frac * (p_fp[i + 1] - p_fp[i]))
-            break
 
     return MetricsReport(
         t_det=thresholds,

@@ -78,10 +78,12 @@ class Detections:
     distance: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            dtype = np.intp if f.name == "frame_index" else np.float64
-            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
-        shapes = {getattr(self, f.name).shape for f in fields(self)}
+        shapes = set()
+        for name in _DETECTION_FIELDS:
+            dtype = np.intp if name == "frame_index" else np.float64
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, value)
+            shapes.add(value.shape)
         if len(shapes) != 1 or self.frame_index.ndim != 1:
             raise ValueError("detection fields must be 1-D arrays of one length")
 
@@ -89,19 +91,40 @@ class Detections:
         return self.frame_index.size
 
     def __getitem__(self, mask) -> "Detections":
-        return Detections(*(getattr(self, f.name)[mask] for f in fields(self)))
+        return Detections(*(getattr(self, name)[mask] for name in _DETECTION_FIELDS))
+
+
+_DETECTION_FIELDS = tuple(f.name for f in fields(Detections))
 
 
 def _ma_single(values: np.ndarray, length: int) -> np.ndarray:
-    """Centered MA; edge frames average only the in-range samples."""
+    """Centered MA; edge frames average only the in-range samples.
+
+    Every frame is the difference of two prefix sums over its window,
+    clipped to the series, divided by the window's size. Interior frames
+    take one slice difference divided by ``length``; the ``length // 2``
+    frames at each end divide by their clipped sizes. A series shorter
+    than ``length - 1`` frames has no such split and gathers every bound.
+    """
     if length == 1:
         return values.copy()
     n = values.size
     half = length // 2
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half, n - 1) + 1
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.cumsum(values, out=csum[1:])
+    if n < 2 * half:
+        lo = np.maximum(np.arange(n) - half, 0)
+        hi = np.minimum(np.arange(n) + half, n - 1) + 1
+        return (csum[hi] - csum[lo]) / (hi - lo)
+    out = np.empty(n)
+    interior = out[half : n - half]
+    np.subtract(csum[length:], csum[:-length], out=interior)
+    interior /= length
+    sizes = np.arange(half + 1, length)  # window sizes of frames 0 .. half - 1
+    np.divide(csum[half + 1 : length], sizes, out=out[:half])
+    np.divide(csum[n] - csum[n + 1 - length : n - half], sizes[::-1], out=out[n - half :])
+    return out
 
 
 def moving_average_cascade(values, spec: SmootherSpec) -> np.ndarray:

@@ -174,6 +174,22 @@ class TestIntervalMinima:
         assert sorted(values.tolist()) == sorted(distances)
 
 
+def loop_efp(report):
+    """Reference: the per-threshold scan that located the EFP point -> (t_det, value)."""
+    t, p_fp = report.t_det, report.p_fp
+    diff = p_fp - report.p_fn
+    for i in range(t.size):
+        if diff[i] == 0.0:
+            return float(t[i]), float(p_fp[i])
+        if i + 1 < t.size and (diff[i] < 0.0 < diff[i + 1] or diff[i] > 0.0 > diff[i + 1]):
+            frac = diff[i] / (diff[i] - diff[i + 1])
+            return (
+                float(t[i] + frac * (t[i + 1] - t[i])),
+                float(p_fp[i] + frac * (p_fp[i + 1] - p_fp[i])),
+            )
+    return None, None
+
+
 class TestComputeCurve:
     def _perfect(self, n_clips=4, per_clip=3):
         out = []
@@ -251,6 +267,17 @@ class TestComputeCurve:
         ann = PassByAnnotation("a", (), 20.0)
         with pytest.raises(ValueError):
             compute_curve([(build_intervals(ann, T_D), dets())], T_D)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ann=annotations(), n_points=st.integers(1, 120), data=st.data())
+    def test_efp_equals_per_threshold_scan(self, ann, n_points, data):
+        assume(ann.n_vehicles > 0)
+        pairs = data.draw(
+            st.lists(st.tuples(st.floats(0.0, ann.duration), st.floats(0.0, T_D)), max_size=15)
+        )
+        report = compute_curve([(build_intervals(ann, T_D), dets(*pairs))], T_D, n_points)
+        got = (report.efp_tdet, report.efp_value)
+        assert repr(got) == repr(loop_efp(report))
 
 
 class TestRvce:
