@@ -99,7 +99,7 @@ def load_config(path=None) -> ToolConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError("config root must be a JSON object")

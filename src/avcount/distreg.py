@@ -229,7 +229,7 @@ def load_pipeline(directory) -> RegressionPipeline:
             meta = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read pipeline bundle in {directory}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DataError(f"corrupt pipeline.json in {directory}: {exc}") from exc
     stage1 = nn_core.load_model(os.path.join(directory, "stage1.ckpt"))
     stage2 = nn_core.load_model(os.path.join(directory, "stage2.ckpt"))

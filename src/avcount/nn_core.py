@@ -536,7 +536,7 @@ def read_checkpoint(path, kind=None):
             blocks.append((name, np.frombuffer(raw, dtype="<f8").reshape(shape)))
             pos += count * 8
         return header["kind"], header["spec"], blocks
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
+    except (struct.error, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"{path}: corrupt checkpoint ({exc!r})") from exc
 
 

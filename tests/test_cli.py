@@ -260,6 +260,15 @@ class TestExitCodes:
         assert err.startswith("data error: invalid config value") and "does not fit a 16-bit WAV" in err
         assert not out.exists()
 
+    def test_deeply_nested_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: config {path} is not valid JSON")
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["train", "--help"]) == 0

@@ -246,6 +246,11 @@ class TestPipeline:
         with pytest.raises(DataError, match=f"missing .*'{field}'"):
             load_pipeline(tmp_path)
 
+    def test_deeply_nested_pipeline_json_rejected(self, tmp_path):
+        (tmp_path / "pipeline.json").write_text("[" * 100_000)
+        with pytest.raises(DataError, match="corrupt pipeline.json"):
+            load_pipeline(tmp_path)
+
     def test_stage2_checkpoint_loads_into_stage2_slot(self, tiny_trained, tmp_path):
         pipeline, _, _, _ = tiny_trained
         path = tmp_path / "s2.ckpt"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcount.dataio import DataError
 from avcount.nn_core import (
@@ -366,6 +368,42 @@ class TestCheckpoint:
         path.write_bytes(b"AVCNN1" + struct.pack("<I", len(header)) + header + struct.pack("<I", 0))
         with pytest.raises(DataError):
             load_model(path)
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        import struct
+
+        from avcount.nn_core import read_checkpoint
+
+        header = b"[" * 100_000
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"AVCNN1" + struct.pack("<I", len(header)) + header + struct.pack("<I", 0))
+        with pytest.raises(DataError, match="corrupt checkpoint"):
+            read_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_checkpoint_parses_or_is_data_error(self, tmp_path_factory, data):
+        from avcount.nn_core import read_checkpoint, write_checkpoint
+
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        blocks = [("w", np.arange(6.0).reshape(2, 3)), ("b", np.array([0.5])), ("s", np.array(2.0))]
+        write_checkpoint(path, "dense", {"layer_sizes": [3, 2], "loss": "mse"}, blocks)
+        raw = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            flipped = bytearray(raw)
+            for _ in range(data.draw(st.integers(1, 3), label="flips")):
+                i = data.draw(st.integers(0, len(raw) - 1), label="index")
+                flipped[i] ^= data.draw(st.integers(1, 255), label="mask")
+            raw = bytes(flipped)
+        path.write_bytes(raw)
+        try:
+            kind, spec, got = read_checkpoint(path)
+        except DataError:
+            return
+        assert isinstance(kind, str) and isinstance(spec, dict)
+        assert all(isinstance(name, str) and isinstance(a, np.ndarray) for name, a in got)
 
     @pytest.mark.parametrize("kind", ["dense", "conv_counter", "feature_stats", "features"])
     def test_every_reader_rejects_another_kind(self, tmp_path, kind):
