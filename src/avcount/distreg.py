@@ -23,6 +23,7 @@ from .features import (
     FeatureStats,
     SpectrogramConfig,
     _context_rows,
+    _fit_stats,
     extract_features,
     standardize,
 )
@@ -93,12 +94,17 @@ def _check_aligned(frame_counts, targets, t_d):
             raise ValueError(f"clip {ds.clip_id!r}: targets outside [0, {t_d}]")
 
 
-def train_stage1(features, targets, spec: NetworkSpec, t_d: float = DEFAULT_T_D) -> TrainedModel:
-    """Train the coarse regressor on all frames of all clips pooled."""
-    features, targets = list(features), list(targets)
-    _check_aligned([fm.frames for fm in features], targets, t_d)
-    x = np.concatenate([fm.data for fm in features], axis=0)
+def train_stage1(x, targets, spec: NetworkSpec, t_d: float = DEFAULT_T_D) -> TrainedModel:
+    """Train the coarse regressor on all frames of all clips pooled.
+
+    ``x`` holds the clips' standardized feature rows one clip after
+    another, in the order of ``targets``.
+    """
     y = np.concatenate([ds.values for ds in targets])
+    if len(x) != y.size:
+        raise ValueError(f"{len(x)} input frames vs {y.size} target frames")
+    if np.any(y < 0) or np.any(y > t_d):
+        raise ValueError(f"targets outside [0, {t_d}]")
     return nn_core.train(spec, x, y)
 
 
@@ -153,12 +159,24 @@ def train_pipeline(
     """Fit standardization, Stage 1, then Stage 2 on the cascade outputs.
 
     ``features`` are raw (unstandardized) per-clip matrices; standardization
-    statistics are fitted here and stored on the pipeline.
+    statistics are fitted here and stored on the pipeline. The clips are
+    pooled into one matrix, which is standardized in place; Stage 1 trains
+    on it and predicts each clip from a row view of it.
     """
     features, targets = list(features), list(targets)
-    std_features, stats = standardize(features)
-    stage1 = train_stage1(std_features, targets, s1_spec, t_d)
-    coarse = [predict_stage1(stage1, fm, t_d) for fm in std_features]
+    if not features:
+        raise ValueError("cannot fit statistics on an empty training list")
+    _check_aligned([fm.frames for fm in features], targets, t_d)
+    x = np.concatenate([fm.data for fm in features], axis=0)
+    stats = _fit_stats(x)
+    x -= stats.mean  # FeatureStats.apply, in place
+    x /= stats.std
+    stage1 = train_stage1(x, targets, s1_spec, t_d)
+    rows = np.split(x, np.cumsum([fm.frames for fm in features])[:-1])  # views
+    coarse = [
+        predict_stage1(stage1, FeatureMatrix(fm.clip_id, r, fm.frame_period), t_d)
+        for fm, r in zip(features, rows)
+    ]
     stage2 = train_stage2(coarse, targets, s2_spec, k, t_d)
     return RegressionPipeline(
         stage1=stage1,

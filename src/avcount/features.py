@@ -272,6 +272,11 @@ def extract_features(
     )
 
 
+def _fit_stats(pooled: np.ndarray) -> FeatureStats:
+    """Per-dimension mean and std of the pooled rows, the std floored at 1e-8."""
+    return FeatureStats(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
+
+
 def standardize(features, stats: FeatureStats | None = None):
     """Per-dimension z-score; fits stats on the list when none are given.
 
@@ -282,10 +287,7 @@ def standardize(features, stats: FeatureStats | None = None):
     if stats is None:
         if not features:
             raise ValueError("cannot fit statistics on an empty training list")
-        pooled = np.concatenate([fm.data for fm in features], axis=0)
-        mean = pooled.mean(axis=0)
-        std = np.maximum(pooled.std(axis=0), 1e-8)
-        stats = FeatureStats(mean=mean, std=std)
+        stats = _fit_stats(np.concatenate([fm.data for fm in features], axis=0))
     out = [
         FeatureMatrix(
             clip_id=fm.clip_id,
@@ -300,15 +302,31 @@ def standardize(features, stats: FeatureStats | None = None):
 # --- feature cache files ----------------------------------------------------
 
 
+def _blas_build():
+    """(name, version) of the BLAS numpy was built with; None for what numpy does not say.
+
+    NumPy before 1.26 has no ``show_config(mode=...)``, so it gives (None, None).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None, None
+    return blas.get("name"), blas.get("version")
+
+
 def _cache_settings(clip: AudioClip, cfg: SpectrogramConfig, q: int, stride: int) -> dict:
     settings = {f"spectrogram.{k}": v for k, v in asdict(cfg).items()}
+    blas_name, blas_version = _blas_build()
     settings.update(
         clip_id=clip.id,
         n_samples=int(clip.samples.size),
         samples_sha256=hashlib.sha256(clip.samples.tobytes()).hexdigest(),
         q=q,
         stride=stride,
-        blas_threads=parallel.blas_threads(),  # the mel product rounds by it
+        # the mel product rounds by the BLAS and its thread count
+        blas_name=blas_name,
+        blas_version=blas_version,
+        blas_threads=parallel.blas_threads(),
     )
     return settings
 
@@ -320,8 +338,8 @@ def write_feature_cache(
 
     The spec records the clip id, its sample count and a SHA-256 of its
     samples, the frame period, the settings the features were extracted
-    with and the BLAS thread count (``parallel.blas_threads``), so a reader
-    can refuse a stale cache.
+    with, the name and version of numpy's BLAS and its thread count
+    (``parallel.blas_threads``), so a reader can refuse a stale cache.
     """
     spec = _cache_settings(clip, cfg, q, stride)
     spec["frame_period"] = fm.frame_period
@@ -332,8 +350,8 @@ def read_feature_cache(path, clip: AudioClip, cfg: SpectrogramConfig, q: int, st
     """Load a cache written for ``clip`` under the given settings.
 
     A cache of another kind, for another clip id, for other audio under the
-    same id, or built with any other spectrogram, q or stride setting or
-    BLAS thread count raises DataError naming the mismatch.
+    same id, or built with any other spectrogram, q or stride setting, BLAS
+    or BLAS thread count raises DataError naming the mismatch.
     """
     _, spec, blocks = nn_core.read_checkpoint(path, "features")
     want = _cache_settings(clip, cfg, q, stride)

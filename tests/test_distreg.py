@@ -70,22 +70,21 @@ class TestStage1:
             layer_sizes=(6, 8, 1), epochs=200, batch_size=32,
             learning_rate=5e-3, seed=0,
         )
-        model = train_stage1(features, targets, spec, T_D)
+        model = train_stage1(np.concatenate([f.data for f in features]), targets, spec, T_D)
         pred = predict_stage1(model, features[0], T_D)
         assert np.allclose(pred.values, T_D, atol=0.05)
 
     def test_target_out_of_range_rejected(self):
-        features = [fm(np.zeros((10, 4)))]
         bad = [DistanceSeries(clip_id="c", values=np.full(10, 0.9), frame_period=FP, t_d=0.9)]
         spec = NetworkSpec(layer_sizes=(4, 1), epochs=1)
         with pytest.raises(ValueError):
-            train_stage1(features, bad, spec, T_D)
+            train_stage1(np.zeros((10, 4)), bad, spec, T_D)
 
     def test_misaligned_lengths_rejected(self):
         targets = [ds(np.zeros(11))]
         spec = NetworkSpec(layer_sizes=(3, 1), epochs=1)
         with pytest.raises(ValueError, match="10 input frames vs 11 target frames"):
-            train_stage1([fm(np.zeros((10, 3)))], targets, spec, T_D)
+            train_stage1(np.zeros((10, 3)), targets, spec, T_D)
         with pytest.raises(ValueError, match="10 input frames vs 11 target frames"):
             train_stage2([ds(np.zeros(10))], targets, spec, 1, T_D)
         with pytest.raises(ValueError, match="clip counts differ"):

@@ -401,6 +401,39 @@ def test_feature_cache_rejects_another_blas_thread_count(tmp_path):
             read_feature_cache(path, cache_clip(), CFG, 5, 2)
 
 
+def test_feature_cache_rejects_another_blas(tmp_path, monkeypatch):
+    from avcount import features
+    from avcount.dataio import DataError
+
+    fm = FeatureMatrix(clip_id="clip x", data=np.ones((3, 5)), frame_period=0.037)
+    path = tmp_path / "c.avcf"
+    monkeypatch.setattr(features, "_blas_build", lambda: ("scipy-openblas", "0.3.31"))
+    write_feature_cache(path, cache_clip(), fm, CFG, 5, 2)
+    read_feature_cache(path, cache_clip(), CFG, 5, 2)
+    monkeypatch.setattr(features, "_blas_build", lambda: ("mkl", "2024.1"))
+    with pytest.raises(DataError, match=(
+        r"blas_name 'scipy-openblas' \(expected 'mkl'\), "
+        r"blas_version '0.3.31' \(expected '2024.1'\)$"
+    )):
+        read_feature_cache(path, cache_clip(), CFG, 5, 2)
+    monkeypatch.setattr(features, "_blas_build", lambda: ("scipy-openblas", "0.3.32"))
+    with pytest.raises(DataError, match=r"blas_version '0.3.31' \(expected '0.3.32'\)$"):
+        read_feature_cache(path, cache_clip(), CFG, 5, 2)
+
+
+def test_blas_build_reads_numpy_build_config(monkeypatch):
+    from avcount import features
+
+    name, version = features._blas_build()
+    assert isinstance(name, str) and isinstance(version, str)
+
+    def show_config_without_mode():  # NumPy < 1.26
+        return None
+
+    monkeypatch.setattr(np, "show_config", show_config_without_mode)
+    assert features._blas_build() == (None, None)
+
+
 def test_feature_cache_rejects_garbage(tmp_path):
     path = tmp_path / "bad.avcf"
     path.write_bytes(b"nonsense")
