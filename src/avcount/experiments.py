@@ -5,6 +5,10 @@ Stage-1-only counter, the full-frequency-features retrain (f_min = 0), the
 prominence-only detectors (magnitude clause disabled via m_frac = 1), and
 the deep counter. Each variant is pure data: a detector spec plus which
 predicted series it consumes.
+
+The grid search finds the peak candidates once per smoother and scores
+every (M, P) cell of it in one array pass. Each ablation report runs its
+own detection; nothing is memoized between calls.
 """
 
 import os

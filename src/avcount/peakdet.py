@@ -1,7 +1,9 @@
 """Vehicle detection from a predicted distance series.
 
-The series is smoothed with a cascade of centered moving-average filters,
-inverted (y = t_d - value), and local maxima are found. A peak counts as a
+The series is smoothed with a cascade of centered moving-average filters
+(each frame a difference of two prefix sums over its window, clipped at
+the series ends, divided by the window's size), inverted (y = t_d -
+value), and local maxima are found. A peak counts as a
 vehicle when its magnitude exceeds M or its prominence exceeds P (strict
 inequalities); both thresholds are fractions of t_d. Prominence is the
 vertical distance between the peak and its lowest contour line: extend from
