@@ -23,7 +23,6 @@ from .features import (
     FeatureStats,
     SpectrogramConfig,
     _context_rows,
-    _fit_stats,
     extract_features,
     standardize,
 )
@@ -159,24 +158,15 @@ def train_pipeline(
     """Fit standardization, Stage 1, then Stage 2 on the cascade outputs.
 
     ``features`` are raw (unstandardized) per-clip matrices; standardization
-    statistics are fitted here and stored on the pipeline. The clips are
-    pooled into one matrix, which is standardized in place; Stage 1 trains
-    on it and predicts each clip from a row view of it.
+    statistics are fitted here and stored on the pipeline. Stage 1 trains
+    on the pooled matrix that fitting standardizes in place, and predicts
+    each clip from its row view of it.
     """
     features, targets = list(features), list(targets)
-    if not features:
-        raise ValueError("cannot fit statistics on an empty training list")
     _check_aligned([fm.frames for fm in features], targets, t_d)
-    x = np.concatenate([fm.data for fm in features], axis=0)
-    stats = _fit_stats(x)
-    x -= stats.mean  # FeatureStats.apply, in place
-    x /= stats.std
-    stage1 = train_stage1(x, targets, s1_spec, t_d)
-    rows = np.split(x, np.cumsum([fm.frames for fm in features])[:-1])  # views
-    coarse = [
-        predict_stage1(stage1, FeatureMatrix(fm.clip_id, r, fm.frame_period), t_d)
-        for fm, r in zip(features, rows)
-    ]
+    std_features, stats = standardize(features)
+    stage1 = train_stage1(std_features[0].data.base, targets, s1_spec, t_d)
+    coarse = [predict_stage1(stage1, fm, t_d) for fm in std_features]
     stage2 = train_stage2(coarse, targets, s2_spec, k, t_d)
     return RegressionPipeline(
         stage1=stage1,

@@ -272,31 +272,31 @@ def extract_features(
     )
 
 
-def _fit_stats(pooled: np.ndarray) -> FeatureStats:
-    """Per-dimension mean and std of the pooled rows, the std floored at 1e-8."""
-    return FeatureStats(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
-
-
 def standardize(features, stats: FeatureStats | None = None):
     """Per-dimension z-score; fits stats on the list when none are given.
 
     Returns (standardized feature list, stats). The std is floored at 1e-8
-    so constant dimensions map to zero.
+    so constant dimensions map to zero. To fit, the clips are pooled into
+    one matrix, which is standardized in place: the returned matrices are
+    consecutive row views of it, and their ``data.base`` is that matrix.
     """
     features = list(features)
-    if stats is None:
-        if not features:
-            raise ValueError("cannot fit statistics on an empty training list")
-        stats = _fit_stats(np.concatenate([fm.data for fm in features], axis=0))
-    out = [
-        FeatureMatrix(
-            clip_id=fm.clip_id,
-            data=stats.apply(fm.data),
-            frame_period=fm.frame_period,
-        )
-        for fm in features
-    ]
-    return out, stats
+    if stats is not None:
+        return [
+            FeatureMatrix(clip_id=fm.clip_id, data=stats.apply(fm.data), frame_period=fm.frame_period)
+            for fm in features
+        ], stats
+    if not features:
+        raise ValueError("cannot fit statistics on an empty training list")
+    pooled = np.concatenate([fm.data for fm in features], axis=0)
+    stats = FeatureStats(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
+    pooled -= stats.mean  # stats.apply, in place
+    pooled /= stats.std
+    rows = np.split(pooled, np.cumsum([fm.frames for fm in features])[:-1])
+    return [
+        FeatureMatrix(clip_id=fm.clip_id, data=r, frame_period=fm.frame_period)
+        for fm, r in zip(features, rows)
+    ], stats
 
 
 # --- feature cache files ----------------------------------------------------

@@ -325,6 +325,16 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize([])
 
+    def test_fit_returns_row_views_of_one_pooled_matrix(self):
+        mats = self._mats(np.random.default_rng(4))
+        out, stats = standardize(mats)
+        pooled = out[0].data.base
+        assert all(fm.data.base is pooled for fm in out)
+        assert np.array_equal(pooled, np.concatenate([fm.data for fm in out]))
+        for fm, raw in zip(out, mats):
+            assert fm.clip_id == raw.clip_id
+            assert np.array_equal(fm.data, (raw.data - stats.mean) / stats.std)
+
 
 def test_extract_features_shape_contract():
     clip = noise_clip(seed=11, n=882000)
