@@ -103,8 +103,9 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
         keep = (magnitude > m_thresh) | (prominence > p_thresh)
         kept_before = np.zeros(keep.shape[:2] + (distance.size + 1,), dtype=np.intp)
         np.cumsum(keep, axis=2, out=kept_before[..., 1:])
-        # np.take keeps each cell's row contiguous, so the mean sums it
-        # pairwise exactly as the mean of one cell's 1-D row would
+        # np.take keeps each cell's thresholds contiguous, so the mean sums
+        # them in the order a 1-D mean of one cell does; fancy indexing
+        # would lay the threshold axis out first and round differently
         prefix = np.searchsorted(distance, thresholds[in_range], side="left")
         below = np.take(kept_before, prefix, axis=2)
         rvce = (n_true - below) / n_true * 100.0

@@ -305,7 +305,7 @@ def standardize(features, stats: FeatureStats | None = None):
 def _blas_build():
     """(name, version) of the BLAS numpy was built with; None for what numpy does not say.
 
-    NumPy before 1.26 has no ``show_config(mode=...)``, so it gives (None, None).
+    An older NumPy whose ``show_config`` takes no ``mode`` gives (None, None).
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

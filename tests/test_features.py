@@ -437,7 +437,7 @@ def test_blas_build_reads_numpy_build_config(monkeypatch):
     name, version = features._blas_build()
     assert isinstance(name, str) and isinstance(version, str)
 
-    def show_config_without_mode():  # NumPy < 1.26
+    def show_config_without_mode():  # an older NumPy's signature
         return None
 
     monkeypatch.setattr(np, "show_config", show_config_without_mode)
