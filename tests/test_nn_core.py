@@ -385,7 +385,7 @@ class TestCheckpoint:
     def test_truncated_or_flipped_checkpoint_parses_or_is_data_error(self, tmp_path_factory, data):
         from avcount.nn_core import read_checkpoint, write_checkpoint
 
-        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
         blocks = [("w", np.arange(6.0).reshape(2, 3)), ("b", np.array([0.5])), ("s", np.array(2.0))]
         write_checkpoint(path, "dense", {"layer_sizes": [3, 2], "loss": "mse"}, blocks)
         raw = path.read_bytes()
