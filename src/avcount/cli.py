@@ -11,9 +11,11 @@ differ in the last bits.
 
 Threads: a command never runs more than ``--jobs`` worker threads. Clips
 go to up to ``--jobs`` workers at once, and a clip's STFT borrows only the
-cores that the clip workers leave idle (``avcount.parallel``). A library
-call such as ``distreg.predict_distance`` may use every usable core for one
-clip's STFT. Outputs depend on neither. ``synth`` and ``experiment`` take
+cores that the clip workers leave idle (``avcount.parallel``). Training
+takes one idle core, if there is one, to gather the next minibatch while
+the current one trains. A library call such as ``distreg.predict_distance``
+may use every usable core for one clip's STFT. Outputs depend on none of
+this. ``synth`` and ``experiment`` take
 no ``--jobs``; they run as library calls do, so ``synth`` writes its clips
 and ``experiment`` extracts its clips on up to usable-cores clip workers.
 """
@@ -45,8 +47,8 @@ def _add_jobs(parser):
         "--jobs",
         type=int,
         default=parallel.usable_cores(),
-        help="most worker threads, clip workers and STFT helpers together "
-        "(default: usable cores); outputs do not depend on it",
+        help="most worker threads: clip workers, STFT helpers and the training "
+        "batch helper together (default: usable cores); outputs do not depend on it",
     )
 
 

@@ -181,7 +181,7 @@ def _read_wav(path):
             f"data chunk declares {dsize} bytes but the file holds "
             f"{len(data) - doff} (truncated file?)"
         )
-    raw = data[doff : doff + dsize]
+    raw = memoryview(data)[doff : doff + dsize]  # a view: slicing bytes would copy the payload
     if fmt_code == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise DataError(f"unsupported float width {bits}")
@@ -351,18 +351,29 @@ def wav_paths(directory):
     return paths
 
 
-def load_corpus(directory):
-    """Load every *.wav in a directory (``wav_paths``) plus its annotations.csv.
+def corpus_annotations(directory, durations) -> list:
+    """Annotations of a corpus's clips, in the order of ``durations``.
 
-    Returns (clips, annotations) as parallel id-sorted lists. Clips without
-    a CSV row become zero-vehicle annotations.
+    ``durations`` maps each clip id to its duration in seconds. They come
+    from the directory's annotations.csv (``load_annotations``); clips
+    without a CSV row, and every clip when there is no annotations.csv,
+    become zero-vehicle annotations.
     """
-    clips = [load_clip(p) for p in wav_paths(directory)]
     ann_path = os.path.join(directory, "annotations.csv")
     if not os.path.exists(ann_path):
-        return clips, [PassByAnnotation(c.id, (), c.duration) for c in clips]
-    anns = {a.clip_id: a for a in load_annotations(ann_path, {c.id: c.duration for c in clips})}
-    return clips, [anns[c.id] for c in clips]
+        return [PassByAnnotation(cid, (), d) for cid, d in durations.items()]
+    anns = {a.clip_id: a for a in load_annotations(ann_path, durations)}
+    return [anns[cid] for cid in durations]
+
+
+def load_corpus(directory):
+    """Load every *.wav in a directory (``wav_paths``) plus its annotations.
+
+    Returns (clips, annotations) as parallel id-sorted lists; the
+    annotations come from ``corpus_annotations``.
+    """
+    clips = [load_clip(p) for p in wav_paths(directory)]
+    return clips, corpus_annotations(directory, {c.id: c.duration for c in clips})
 
 
 # --- reference distance ---------------------------------------------------

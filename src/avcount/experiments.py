@@ -19,7 +19,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import deepcount, distreg, metrics, parallel
-from .dataio import DEFAULT_T_D, load_corpus, reference_distance, split_dataset
+from .dataio import (
+    DEFAULT_T_D,
+    corpus_annotations,
+    load_clip,
+    reference_distance,
+    split_dataset,
+    wav_paths,
+)
 from .features import FeatureMatrix, log_mel, read_feature_cache, stack_context, stft_power
 from .metrics import MetricsReport, compute_curve, confidence_interval
 from .nn_core import NumericError, check_real
@@ -203,21 +210,25 @@ def _f0_config(cfg: "ToolConfig") -> "ToolConfig":
 
 
 def prepare_corpus(cfg: "ToolConfig", data_dir, jobs, cache_dir=None, f0=False):
-    """Load the corpus in ``data_dir``, extract raw features, build targets.
+    """Extract raw features of the corpus in ``data_dir`` and build targets.
 
-    Clips run on up to ``jobs`` clip workers. A clip reads its features from
-    ``<cache_dir>/<id>.avcf`` when that file exists; otherwise one
-    ``stft_power`` feeds ``log_mel`` + ``stack_context`` for each setting:
-    the configured one, plus VCNN_f0's f_min = 0 when ``f0`` is set. Pass
-    ``cache_dir`` or ``f0``, not both: a cache holds the configured setting.
+    The clips (``wav_paths``) stream through up to ``jobs`` clip workers:
+    each loads its WAV, reads its features from ``<cache_dir>/<id>.avcf``
+    when that file exists, and otherwise runs one ``stft_power`` that feeds
+    ``log_mel`` + ``stack_context`` for each setting: the configured one,
+    plus VCNN_f0's f_min = 0 when ``f0`` is set. A worker drops the samples
+    once its clip is done, so only one clip per worker is held at a time.
+    Pass ``cache_dir`` or ``f0``, not both: a cache holds the configured
+    setting. The annotations come from ``corpus_annotations``, once every
+    clip has loaded; a clip that fails to load raises the ``DataError`` of
+    the first failing path, in path order.
 
     Returns (ids, features_by_id, targets_by_id, anns_by_id, f0 features by
     id or None).
     """
-    clips, anns = load_corpus(data_dir)
     specs = [cfg.spectrogram] + ([_f0_config(cfg).spectrogram] if f0 else [])
 
-    def one(clip):
+    def extract(clip):
         if cache_dir is not None:
             path = os.path.join(cache_dir, clip.id + ".avcf")
             if os.path.exists(path):
@@ -226,14 +237,19 @@ def prepare_corpus(cfg: "ToolConfig", data_dir, jobs, cache_dir=None, f0=False):
         lms = [(log_mel(power, s, clip.sample_rate), s.frame_period) for s in specs]
         return [FeatureMatrix(clip.id, stack_context(m, cfg.q, cfg.stride), fp) for m, fp in lms]
 
-    sets = parallel.parallel_map(one, clips, jobs)
-    features = {c.id: fms[0] for c, fms in zip(clips, sets)}
-    f0_features = {c.id: fms[1] for c, fms in zip(clips, sets)} if f0 else None
+    def one(path):
+        clip = load_clip(path)
+        return clip.id, clip.duration, extract(clip)
+
+    ids, durations, sets = zip(*parallel.parallel_map(one, wav_paths(data_dir), jobs))
+    anns = corpus_annotations(data_dir, dict(zip(ids, durations)))
+    features = {i: fms[0] for i, fms in zip(ids, sets)}
+    f0_features = {i: fms[1] for i, fms in zip(ids, sets)} if f0 else None
     targets = {}
     for a in anns:
         fm = features[a.clip_id]
         targets[a.clip_id] = reference_distance(a, fm.frames, fm.frame_period, cfg.t_d)
-    return [c.id for c in clips], features, targets, {a.clip_id: a for a in anns}, f0_features
+    return list(ids), features, targets, {a.clip_id: a for a in anns}, f0_features
 
 
 def train_and_predict(cfg: "ToolConfig", ids, features, targets, seed: int):

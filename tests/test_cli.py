@@ -516,7 +516,7 @@ class TestPipelineCommands:
         def no_audio(*args):
             raise AssertionError("the corpus was read")
 
-        monkeypatch.setattr("avcount.experiments.load_corpus", no_audio)
+        monkeypatch.setattr("avcount.experiments.load_clip", no_audio)  # prepare_corpus's clip loader
         out_dir = tmp_path / "exp"
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(
@@ -535,7 +535,7 @@ class TestPipelineCommands:
         def no_audio(*args):
             raise AssertionError("the corpus was read")
 
-        monkeypatch.setattr("avcount.experiments.load_corpus", no_audio)
+        monkeypatch.setattr("avcount.experiments.load_clip", no_audio)  # prepare_corpus's clip loader
         out_dir = tmp_path / "out"
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(

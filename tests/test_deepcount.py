@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+from avcount import parallel
 from avcount.dataio import DataError
 from avcount.deepcount import (
     ConvCounterSpec,
@@ -249,7 +250,7 @@ class TestCheckpoint:
             load_counter(path)
 
 
-def test_divergence_names_epoch_and_batch():
+def test_divergence_names_epoch_and_batch(cores):
     from avcount.nn_core import NumericError
 
     rng = np.random.default_rng(6)
@@ -257,10 +258,34 @@ def test_divergence_names_epoch_and_batch():
     spec = ConvCounterSpec(
         conv_layers=((3, 5, 2),), loss="l2", epochs=3, batch_clips=2, learning_rate=1e200
     )
+    pool = cores(2)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
         train_counter(spec, series, [1, 2, 0, 1, 1, 3])
     assert (info.value.epoch, info.value.batch) == (1, 2)
     assert "at epoch 1, batch 2" in str(info.value)
+    assert pool.submitted == 3  # batch 3 was being gathered when batch 2 diverged
+    assert parallel._idle == 1
+
+
+def test_batches_gathered_ahead_train_the_same_bytes(cores, tmp_path):
+    rng = np.random.default_rng(10)
+    series = [rng.uniform(0, 0.75, size=int(n)) for n in rng.integers(30, 80, size=7)]
+    counts = [1, 0, 2, 1, 3, 2, 1]
+    spec = ConvCounterSpec(conv_layers=((3, 5, 2), (4, 3, 2)), head_sizes=(4,), epochs=3, batch_clips=3)
+
+    def trained(name):
+        counter = train_counter(spec, series, counts)
+        save_counter(counter, tmp_path / name)
+        return (tmp_path / name).read_bytes(), counter.train_loss_history
+
+    pool = cores(2)
+    with parallel.hold(parallel._cores):  # every core held: batches are gathered inline
+        inline = trained("inline.ckpt")
+    assert pool.submitted == 0
+    ahead = trained("ahead.ckpt")
+    assert pool.submitted == 3 * 3  # batches of 3, 3 and 1 clips
+    assert ahead == inline
+    assert parallel._idle == 1
 
 
 def test_spec_validation():

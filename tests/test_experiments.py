@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from numeric_checks import reports_equal
 
 from avcount import experiments
 from avcount.config import ToolConfig
-from avcount.dataio import DistanceSeries, PassByAnnotation, load_corpus, reference_distance
+from avcount.dataio import DataError, DistanceSeries, PassByAnnotation, load_corpus, reference_distance
 from avcount.experiments import (
     TUNED_DETECTORS,
     EvalContext,
@@ -21,7 +22,7 @@ from avcount.experiments import (
     run_ablation,
     single_run,
 )
-from avcount.features import extract_features, stft_power
+from avcount.features import extract_features, stft_power, write_feature_cache
 from avcount.metrics import write_curve_csv, write_summary_csv
 from avcount.peakdet import DetectorSpec
 from avcount.synthgen import SceneSpec, generate_corpus
@@ -355,6 +356,90 @@ class TestPrepareCorpus:
 
     def test_no_f0_features_without_the_variant(self, tiny_config, jobs):
         assert prepare_corpus(tiny_config, tiny_config.paths["data_dir"], jobs)[4] is None
+
+
+def loaded_first(cfg, data_dir, f0=False):
+    """prepare_corpus's result, computed the way it was before clips streamed:
+    every clip loaded first, then its features and targets."""
+    clips, anns = load_corpus(data_dir)
+    features, f0_features, targets = {}, {}, {}
+    for clip, ann in zip(clips, anns):
+        fm = features[clip.id] = extract_features(clip, cfg.spectrogram, cfg.q, cfg.stride)
+        if f0:
+            f0_spec = replace(cfg.spectrogram, f_min=0.0)
+            f0_features[clip.id] = extract_features(clip, f0_spec, cfg.q, cfg.stride)
+        targets[clip.id] = reference_distance(ann, fm.frames, fm.frame_period, cfg.t_d)
+    return [c.id for c in clips], features, targets, {a.clip_id: a for a in anns}, f0_features if f0 else None
+
+
+def assert_same_corpus(got, want):
+    ids, features, targets, anns, f0_features = got
+    assert ids == want[0]
+    for got_fms, want_fms in ((features, want[1]), (f0_features, want[4])):
+        if want_fms is None:
+            assert got_fms is None
+            continue
+        assert list(got_fms) == ids
+        for i in ids:
+            assert (got_fms[i].clip_id, got_fms[i].frame_period) == (want_fms[i].clip_id, want_fms[i].frame_period)
+            assert np.array_equal(got_fms[i].data, want_fms[i].data)
+    assert list(targets) == list(want[2])
+    for i in ids:
+        assert (targets[i].clip_id, targets[i].frame_period) == (want[2][i].clip_id, want[2][i].frame_period)
+        assert np.array_equal(targets[i].values, want[2][i].values)
+    assert anns == want[3]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestStreamedCorpus:
+    """prepare_corpus against an oracle that loads every clip first."""
+
+    @pytest.fixture
+    def corpus(self, tiny_corpus, tmp_path):
+        return shutil.copytree(tiny_corpus, tmp_path / "corpus")
+
+    @pytest.mark.parametrize("csv", ["shipped", "absent", "one row"])
+    @pytest.mark.parametrize("f0", [False, True])
+    def test_matches_loading_every_clip_first(self, tiny_config, corpus, csv, f0, jobs):
+        ann_path = corpus / "annotations.csv"
+        if csv == "absent":
+            ann_path.unlink()
+        elif csv == "one row":  # clips without a row are zero-vehicle clips
+            ann_path.write_text("clip_id,instant_s\nclip0003,2.5\n")
+        want = loaded_first(tiny_config, corpus, f0)
+        assert_same_corpus(prepare_corpus(tiny_config, corpus, jobs, f0=f0), want)
+        counts = [a.n_vehicles for a in want[3].values()]
+        if csv == "shipped":
+            assert sum(counts) > 0
+        else:
+            assert counts == [int(csv == "one row" and i == "clip0003") for i in want[0]]
+
+    def test_reads_the_cache_of_every_cached_clip(self, tiny_config, corpus, tmp_path, monkeypatch, jobs):
+        want = loaded_first(tiny_config, corpus)
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        clips, _ = load_corpus(corpus)
+        cached = [c.id for c in clips[::2]]
+        for clip in clips[::2]:
+            write_feature_cache(cache_dir / f"{clip.id}.avcf", clip, want[1][clip.id],
+                                tiny_config.spectrogram, tiny_config.q, tiny_config.stride)
+        computed = []
+
+        def counting_stft_power(clip, cfg):
+            computed.append(clip.id)
+            return stft_power(clip, cfg)
+
+        monkeypatch.setattr(experiments, "stft_power", counting_stft_power)
+        assert_same_corpus(prepare_corpus(tiny_config, corpus, jobs, cache_dir=cache_dir), want)
+        assert sorted(computed) == sorted(set(want[0]) - set(cached))
+
+    def test_first_truncated_wav_in_path_order_is_named(self, tiny_config, corpus, jobs):
+        paths = sorted(corpus.glob("*.wav"))
+        for path in (paths[7], paths[3]):
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(DataError) as info:
+            prepare_corpus(tiny_config, corpus, jobs)
+        assert str(info.value).startswith(f"{paths[3]}: data chunk declares")
 
 
 class TestMultiRun:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avcount import parallel
 from avcount.dataio import DataError
 from avcount.nn_core import (
     ADAM_BETA1,
@@ -254,16 +255,39 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(spec, np.zeros((0, 2)), np.zeros((0, 1)))
 
-    def test_divergence_names_epoch_and_batch(self):
+    def test_divergence_names_epoch_and_batch(self, cores):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(64, 3))
         y = rng.normal(size=(64, 1))
         # one Adam step moves every weight by about the learning rate
         spec = NetworkSpec(layer_sizes=(3, 4, 1), epochs=3, batch_size=16, learning_rate=1e200)
+        pool = cores(2)
         with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
             train(spec, x, y)
         assert (info.value.epoch, info.value.batch) == (1, 2)
         assert "at epoch 1, batch 2" in str(info.value)
+        assert pool.submitted == 3  # batch 3 was being gathered when batch 2 diverged
+        assert parallel._idle == 1
+
+    def test_batches_gathered_ahead_train_the_same_bytes(self, cores, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(600, 40))  # two full batches of 256 and one of 88
+        y = rng.uniform(0, 0.75, size=(600, 1))
+        spec = NetworkSpec(layer_sizes=(40, 16, 8, 1), l2_factor=1e-4, epochs=4, seed=5)
+
+        def trained(name):
+            model = train(spec, x, y, x[:50], y[:50])
+            save_model(model, tmp_path / name)
+            return (tmp_path / name).read_bytes(), model.train_loss_history, model.val_loss_history
+
+        pool = cores(2)
+        with parallel.hold(parallel._cores):  # every core held: batches are gathered inline
+            inline = trained("inline.ckpt")
+        assert pool.submitted == 0
+        ahead = trained("ahead.ckpt")
+        assert pool.submitted == 4 * 3
+        assert ahead == inline
+        assert parallel._idle == 1
 
     def test_running_stats_updated_during_training(self):
         rng = np.random.default_rng(4)

@@ -18,35 +18,6 @@ from numeric_checks import blas_thread_count
 CFG = SpectrogramConfig()
 
 
-class SpyPool(ThreadPoolExecutor):
-    """A helper pool that counts the helpers it was asked for."""
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers=max_workers, thread_name_prefix="avcount-helper")
-        self.submitted = 0
-
-    def submit(self, fn, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(fn, *args, **kwargs)
-
-
-@pytest.fixture
-def cores():
-    """force(n) acts as if n cores were usable and returns the spied pool."""
-    pools = []
-
-    def force(n):
-        parallel._reset(n)
-        parallel._pool = SpyPool(max(n - 1, 1))
-        pools.append(parallel._pool)
-        return parallel._pool
-
-    yield force
-    for pool in pools:
-        pool.shutdown()
-    parallel._reset()
-
-
 def noise(n, seed=0):
     return AudioClip(np.random.default_rng(seed).uniform(-0.3, 0.3, n), 44100, "noise")
 
@@ -153,6 +124,41 @@ def test_clip_workers_borrow_no_helpers(jobs, items, cores):
     assert parallel._idle == 1
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_prefetch_yields_in_order_and_gives_its_core_back(n, cores):
+    pool = cores(n)
+    threads = []
+
+    def fn(item):
+        threads.append(threading.current_thread().name)
+        return item * item
+
+    assert list(parallel.prefetch(fn, range(6))) == [i * i for i in range(6)]
+    assert pool.submitted == (6 if n > 1 else 0)
+    assert all(t.startswith("avcount-helper") == (n > 1) for t in threads)
+    batches = parallel.prefetch(fn, range(6))
+    assert next(batches) == 0
+    assert parallel._idle == 0
+    batches.close()  # a run that stops early
+    assert parallel._idle == n - 1
+
+
+def test_prefetch_raises_the_error_of_its_item(cores):
+    cores(2)
+
+    def fn(item):
+        if item == 3:
+            raise KeyError(item)
+        return item
+
+    got = []
+    with pytest.raises(KeyError):
+        for item in parallel.prefetch(fn, range(6)):
+            got.append(item)
+    assert got == [0, 1, 2]
+    assert parallel._idle == 1
+
+
 def test_pool_never_exceeds_usable_cores_minus_one(cores):
     parallel._reset(3)
     clips = [noise(882000, seed) for seed in range(4)]
@@ -203,6 +209,7 @@ def bundle(tmp_path_factory):
     root = tmp_path_factory.mktemp("parallel")
     config = root / "config.json"
     config.write_text('{"seed": 3, "epochs": 1}')
+    (root / "deep.json").write_text('{"seed": 3, "epochs": 2, "deep": {"epochs": 2}}')
     scene = SceneSpec(duration=4.0, n_vehicles=1, seed=11)
     generate_corpus(scene, 5, root / "corpus")
     assert main(["train", "--config", str(config), "--data", str(root / "corpus"),
@@ -211,16 +218,37 @@ def bundle(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("command", ["count", "predict", "extract", "eval"])
+@pytest.mark.parametrize("command", ["count", "predict", "extract", "eval", "train", "train --deep"])
 def test_jobs_1_borrows_no_helpers(command, bundle, cores, tmp_path, capsys):
     pool = cores(4)
-    for audio in ("one", "corpus"):
-        source = ["--data" if command == "eval" else "--audio", str(bundle / audio)]
-        model = [] if command == "extract" else ["--model", str(bundle / "model")]
+    command, *flags = command.split()
+    # training splits its corpus, so it needs more than one clip
+    for audio in ("corpus",) if command == "train" else ("one", "corpus"):
+        source = ["--data" if command in ("eval", "train") else "--audio", str(bundle / audio)]
+        model = ["--model", str(bundle / "model")] if command in ("count", "predict", "eval") else []
+        config = ["--config", str(bundle / "deep.json")] if command == "train" else []
         out = [] if command == "count" else ["--out", str(tmp_path / f"{command}_{audio}")]
-        assert main([command, *model, *source, *out, "--jobs", "1"]) == 0
+        assert main([command, *flags, *model, *config, *source, *out, "--jobs", "1"]) == 0
     assert pool.submitted == 0
     assert parallel._idle == 3
+
+
+def test_train_gathers_batches_on_the_idle_core(bundle, cores, tmp_path, capsys):
+    def train(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["train", "--deep", "--config", str(bundle / "deep.json"),
+                "--data", str(bundle / "corpus"), "--out", str(out), "--jobs", str(jobs)]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    cores(2)
+    alone = train(1)
+    pool = cores(2)
+    assert train(2) == alone
+    # five clips leave no idle core to their STFTs, so every helper gathered a batch
+    assert pool.submitted > 0
+    assert parallel._idle == 1
+    assert set(alone) == {"deep.ckpt", "pipeline.json", "stage1.ckpt", "stage2.ckpt", "stats.bin"}
 
 
 def test_count_of_one_recording_borrows_a_helper(bundle, cores, capsys):
