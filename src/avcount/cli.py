@@ -11,17 +11,14 @@ differ in the last bits.
 
 Threads: a command never runs more than ``--jobs`` worker threads. Clips
 go to up to ``--jobs`` workers at once, and a clip's STFT borrows only the
-cores that the clip workers leave idle (``avcount.parallel``). Training
-takes one idle core, if there is one, to gather the next minibatch while
-the current one trains. A library call such as ``distreg.predict_distance``
-may use every usable core for one clip's STFT. Outputs depend on none of
-this. ``synth`` and ``experiment`` take
+cores that the clip workers leave idle (``avcount.parallel``). A library
+call such as ``distreg.predict_distance`` may use every usable core for one
+clip's STFT. Outputs depend on neither. ``synth`` and ``experiment`` take
 no ``--jobs``; they run as library calls do, so ``synth`` writes its clips
 and ``experiment`` extracts its clips on up to usable-cores clip workers.
 """
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -30,6 +27,7 @@ from . import deepcount, distreg, experiments, metrics, parallel, peakdet, synth
 from .config import load_config
 from .dataio import DataError, load_clip, wav_paths
 from .features import extract_features, write_feature_cache
+from .metrics import cell, write_csv
 from .nn_core import NumericError
 
 
@@ -47,8 +45,8 @@ def _add_jobs(parser):
         "--jobs",
         type=int,
         default=parallel.usable_cores(),
-        help="most worker threads: clip workers, STFT helpers and the training "
-        "batch helper together (default: usable cores); outputs do not depend on it",
+        help="most worker threads, clip workers and STFT helpers together "
+        "(default: usable cores); outputs do not depend on it",
     )
 
 
@@ -84,7 +82,7 @@ def cmd_train(args):
     ids, features, targets, anns_by_id, _ = experiments.prepare_corpus(
         cfg, args.data, args.jobs, cache_dir=args.cache
     )
-    split, pipeline, coarse, fine = experiments.train_and_predict(
+    split, pipeline, train_coarse, coarse, fine = experiments.train_and_predict(
         cfg, ids, features, targets, cfg.seed
     )
     distreg.save_pipeline(pipeline, args.out)
@@ -95,7 +93,7 @@ def cmd_train(args):
         counter = experiments.train_deep_counter(
             cfg.deep or deepcount.ConvCounterSpec(),
             pipeline,
-            features,
+            train_coarse,
             anns_by_id,
             split.train_ids,
             cfg.seed,
@@ -116,14 +114,12 @@ def _predict_series(pipeline, paths, jobs):
 def cmd_predict(args):
     pipeline = distreg.load_pipeline(args.model)
     results = _predict_series(pipeline, wav_paths(args.audio), args.jobs)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "frame", "t_s", "d_hat_s"])
-        for clip_id, series in results:
-            for m, value in enumerate(series.values):
-                writer.writerow(
-                    [clip_id, m, f"{m * series.frame_period:.6f}", f"{value:.6f}"]
-                )
+    rows = (
+        [clip_id, m, cell(m * series.frame_period), cell(value)]
+        for clip_id, series in results
+        for m, value in enumerate(series.values)
+    )
+    write_csv(args.out, ["clip_id", "frame", "t_s", "d_hat_s"], rows)
     print(f"wrote predictions for {len(results)} clips to {args.out}")
     return 0
 
@@ -184,34 +180,19 @@ def cmd_eval(args):
 def cmd_gridsearch(args):
     cfg = load_config(args.config)
     ids, features, targets, anns_by_id, _ = experiments.prepare_corpus(cfg, args.data, args.jobs)
-    _, _, _, fine = experiments.train_and_predict(cfg, ids, features, targets, cfg.seed)
+    *_, fine = experiments.train_and_predict(cfg, ids, features, targets, cfg.seed)
     best, table = experiments.grid_search(
         fine.values(), [anns_by_id[i] for i in fine], cfg.grid, cfg.t_d
     )
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["smoother", "m_frac", "p_frac", "mean_abs_rvce"])
-        for row in table:
-            writer.writerow(
-                [
-                    " ".join(str(l) for l in row["smoother"]),
-                    f"{row['m_frac']:.2f}",
-                    f"{row['p_frac']:.2f}",
-                    f"{row['mean_abs_rvce']:.6f}",
-                ]
-            )
-        writer.writerow(
-            [
-                "BEST " + " ".join(str(l) for l in best.smoother.lengths),
-                f"{best.m_frac:.2f}",
-                f"{best.p_frac:.2f}",
-                "",
-            ]
-        )
-    finally:
-        if args.out:
-            out.close()
+    rows = [
+        [" ".join(map(str, r["smoother"])), f"{r['m_frac']:.2f}", f"{r['p_frac']:.2f}",
+         cell(r["mean_abs_rvce"])]
+        for r in table
+    ]
+    rows.append(
+        ["BEST " + " ".join(map(str, best.smoother.lengths)), f"{best.m_frac:.2f}", f"{best.p_frac:.2f}", ""]
+    )
+    write_csv(args.out or sys.stdout, ["smoother", "m_frac", "p_frac", "mean_abs_rvce"], rows)
     return 0
 
 
@@ -229,32 +210,25 @@ def cmd_experiment(args):
                 os.path.join(out_dir, f"run{res.run_seed}_{variant}_curve.csv"), report
             )
     for variant, rows in bands.items():
-        with open(
-            os.path.join(out_dir, f"{variant}_bands.csv"), "w", newline=""
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_det", "rvce_mean", "rvce_low", "rvce_high"])
-            for t_det, mean, lo, hi in rows:
-                writer.writerow(
-                    [f"{t_det:.6f}", f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}"]
-                )
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["run_seed", "stage1_mse", "stage2_mse"]
+        write_csv(
+            os.path.join(out_dir, f"{variant}_bands.csv"),
+            ["t_det", "rvce_mean", "rvce_low", "rvce_high"],
+            ([cell(x) for x in row] for row in rows),
+        )
+    header = ["run_seed", "stage1_mse", "stage2_mse"]
+    for variant in cfg.variants:
+        header += [f"{variant}_area_ptp", f"{variant}_efp"]
+    if cfg.deep is not None:
+        header.append("deep_rvce")
+    summary = []
+    for res in results:
+        row = [res.run_seed, f"{res.stage1_mse:.6e}", f"{res.stage2_mse:.6e}"]
         for variant in cfg.variants:
-            header += [f"{variant}_area_ptp", f"{variant}_efp"]
+            row += [cell(res.reports[variant].area_ptp), cell(res.reports[variant].efp_value)]
         if cfg.deep is not None:
-            header.append("deep_rvce")
-        writer.writerow(header)
-        for res in results:
-            row = [res.run_seed, f"{res.stage1_mse:.6e}", f"{res.stage2_mse:.6e}"]
-            for variant in cfg.variants:
-                rep = res.reports[variant]
-                efp = "" if rep.efp_value is None else f"{rep.efp_value:.6f}"
-                row += [f"{rep.area_ptp:.6f}", efp]
-            if cfg.deep is not None:
-                row.append("" if res.deep_rvce is None else f"{res.deep_rvce:.6f}")
-            writer.writerow(row)
+            row.append(cell(res.deep_rvce))
+        summary.append(row)
+    write_csv(os.path.join(out_dir, "summary.csv"), header, summary)
     for seed, message in failures:
         print(f"run {seed} diverged: {message}", file=sys.stderr)
     print(

@@ -92,10 +92,6 @@ class DistanceSeries:
     def n_frames(self) -> int:
         return self.values.size
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.frame_period
-
 
 @dataclass(frozen=True)
 class DatasetSplit:

@@ -232,17 +232,16 @@ def train_counter(spec: ConvCounterSpec, series_list, counts) -> DeepCounter:
     counter = init_counter(spec, rng)
     adam = nn_core.Adam(counter.layers)
 
-    def gather(sel):
-        return [series_list[i] for i in sel], counts[sel]
-
-    def batch_loss(batch):
-        loss, _ = loss_and_gradients(counter, *batch, grads=adam.grads)
+    def batch_loss(sel):
+        loss, _ = loss_and_gradients(
+            counter, [series_list[i] for i in sel], counts[sel], grads=adam.grads
+        )
         return loss
 
     counter.train_loss_history.extend(
         nn_core.run_epochs(
             rng, len(series_list), spec.epochs, spec.batch_clips, adam,
-            spec.learning_rate, gather, batch_loss,
+            spec.learning_rate, batch_loss,
         )
     )
     return counter

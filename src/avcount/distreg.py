@@ -161,6 +161,9 @@ def train_pipeline(
     statistics are fitted here and stored on the pipeline. Stage 1 trains
     on the pooled matrix that fitting standardizes in place, and predicts
     each clip from its row view of it.
+
+    Returns (pipeline, coarse): ``coarse`` holds the Stage-1 series of the
+    training clips, in order, on which Stage 2 trained.
     """
     features, targets = list(features), list(targets)
     _check_aligned([fm.frames for fm in features], targets, t_d)
@@ -168,7 +171,7 @@ def train_pipeline(
     stage1 = train_stage1(std_features[0].data.base, targets, s1_spec, t_d)
     coarse = [predict_stage1(stage1, fm, t_d) for fm in std_features]
     stage2 = train_stage2(coarse, targets, s2_spec, k, t_d)
-    return RegressionPipeline(
+    pipeline = RegressionPipeline(
         stage1=stage1,
         stage2=stage2,
         feature_stats=stats,
@@ -178,6 +181,7 @@ def train_pipeline(
         k=k,
         t_d=t_d,
     )
+    return pipeline, coarse
 
 
 def cascade(pipeline: RegressionPipeline, raw_features):

@@ -256,12 +256,13 @@ def train_and_predict(cfg: "ToolConfig", ids, features, targets, seed: int):
     """Split, train the cascade on the train part, run it on the val part.
 
     The split comes from ``cfg.seed`` and stays fixed; ``seed`` seeds the
-    networks. Returns (split, pipeline, coarse, fine), the series as dicts
-    keyed by validation clip id.
+    networks. Returns (split, pipeline, train_coarse, coarse, fine):
+    ``train_coarse`` lists the Stage-1 series of the train clips in split
+    order, and ``coarse`` and ``fine`` are dicts keyed by validation clip id.
     """
     split = split_dataset(ids, cfg.split_ratio, cfg.seed)
     s1, s2 = cfg.stage_specs(seed)
-    pipeline = distreg.train_pipeline(
+    pipeline, train_coarse = distreg.train_pipeline(
         [features[i] for i in split.train_ids],
         [targets[i] for i in split.train_ids],
         cfg.spectrogram,
@@ -273,7 +274,8 @@ def train_and_predict(cfg: "ToolConfig", ids, features, targets, seed: int):
         t_d=cfg.t_d,
     )
     coarse, fine = distreg.cascade(pipeline, [features[i] for i in split.val_ids])
-    return split, pipeline, dict(zip(split.val_ids, coarse)), dict(zip(split.val_ids, fine))
+    coarse, fine = dict(zip(split.val_ids, coarse)), dict(zip(split.val_ids, fine))
+    return split, pipeline, train_coarse, coarse, fine
 
 
 def mean_mse(series_by_id, targets) -> float:
@@ -283,9 +285,10 @@ def mean_mse(series_by_id, targets) -> float:
     )
 
 
-def train_deep_counter(spec, pipeline, features, anns_by_id, train_ids, seed: int):
-    """Fit the deep counter on the cascade's Stage-2 series of the train clips."""
-    _, fine = distreg.cascade(pipeline, [features[i] for i in train_ids])
+def train_deep_counter(spec, pipeline, train_coarse, anns_by_id, train_ids, seed: int):
+    """Fit the deep counter on Stage 2 run over the train clips' Stage-1 series."""
+    k, t_d = pipeline.k, pipeline.t_d
+    fine = [distreg.predict_stage2(pipeline.stage2, c, k, t_d) for c in train_coarse]
     return deepcount.train_counter(
         replace(spec, seed=seed), [s.values for s in fine], [anns_by_id[i].n_vehicles for i in train_ids]
     )
@@ -294,7 +297,9 @@ def train_deep_counter(spec, pipeline, features, anns_by_id, train_ids, seed: in
 def single_run(cfg: "ToolConfig", dataset, run_seed: int) -> RunResult:
     """One full train + evaluate pass; eval set is the held-out split."""
     ids, features, targets, anns_by_id, f0_features = dataset
-    split, pipeline, stage1, stage2 = train_and_predict(cfg, ids, features, targets, run_seed)
+    split, pipeline, train_coarse, stage1, stage2 = train_and_predict(
+        cfg, ids, features, targets, run_seed
+    )
     eval_ids = split.val_ids
     ctx = EvalContext(
         annotations={i: anns_by_id[i] for i in eval_ids},
@@ -314,7 +319,7 @@ def single_run(cfg: "ToolConfig", dataset, run_seed: int) -> RunResult:
 
     if cfg.deep is not None:
         counter = train_deep_counter(
-            cfg.deep, pipeline, features, anns_by_id, split.train_ids, run_seed
+            cfg.deep, pipeline, train_coarse, anns_by_id, split.train_ids, run_seed
         )
         n_true = sum(anns_by_id[i].n_vehicles for i in eval_ids)
         n_est = sum(deepcount.predict_count(counter, stage2[i].values) for i in eval_ids)

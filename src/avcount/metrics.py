@@ -13,6 +13,7 @@ equal-false-probability point.
 """
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,23 +160,27 @@ def confidence_interval(values, level: float = 0.95):
     return mean, mean - half, mean + half
 
 
+def write_csv(out, header, rows):
+    """Write ``header`` and then ``rows`` as CSV to the file ``out`` or to the path ``out``."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="") as fh:
+            return write_csv(fh, header, rows)
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def cell(value):
+    """The CSV text of a number: six decimals, or empty for None."""
+    return "" if value is None else f"{value:.6f}"
+
+
 def write_curve_csv(path, report: MetricsReport):
     columns = (report.t_det, report.p_tp, report.p_fp, report.p_fn, report.rvce)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_det", "p_tp", "p_fp", "p_fn", "rvce"])
-        for row in zip(*(c.tolist() for c in columns)):
-            writer.writerow([f"{x:.6f}" for x in row])
+    rows = ([cell(x) for x in row] for row in zip(*(c.tolist() for c in columns)))
+    write_csv(path, ["t_det", "p_tp", "p_fp", "p_fn", "rvce"], rows)
 
 
 def write_summary_csv(path, report: MetricsReport):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["area_ptp", "efp_tdet", "efp_value"])
-        writer.writerow(
-            [
-                f"{report.area_ptp:.6f}",
-                "" if report.efp_tdet is None else f"{report.efp_tdet:.6f}",
-                "" if report.efp_value is None else f"{report.efp_value:.6f}",
-            ]
-        )
+    values = (report.area_ptp, report.efp_tdet, report.efp_value)
+    write_csv(path, ["area_ptp", "efp_tdet", "efp_value"], [[cell(v) for v in values]])

@@ -14,9 +14,7 @@ step is a dozen whole-vector operations. Batch-norm running statistics are
 not trained and stay separate arrays. The layout lives only in memory:
 checkpoints store named blocks, so a bundle's bytes do not depend on it.
 The deep counter (``deepcount``) trains through the same ``Adam``,
-``run_epochs`` and dense forward/backward. ``run_epochs`` gathers the next
-minibatch on an idle core, when it can claim one, while the current one
-trains.
+``run_epochs`` and dense forward/backward.
 
 Checkpoints use a shared container (magic ``AVCNN1``, canonical JSON spec,
 named float64 parameter blocks); ``read_checkpoint`` refuses a container
@@ -31,12 +29,10 @@ import math
 import numbers
 import struct
 import sys
-from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import parallel
 from .dataio import DataError
 
 ADAM_BETA1 = 0.9
@@ -273,39 +269,28 @@ class Adam:
         self.params -= a
 
 
-def run_epochs(rng, n, epochs, batch_size, adam, lr, gather, batch_loss):
+def run_epochs(rng, n, epochs, batch_size, adam, lr, batch_loss):
     """Minibatch Adam: yields the mean training loss of each epoch.
 
     Each epoch visits the n rows in a fresh ``rng.permutation`` order, in
-    batches of ``batch_size``. ``gather(sel)`` copies the rows ``sel`` of
-    the training data into a batch, and ``batch_loss(batch)`` returns the
-    batch's mean loss with its gradient written into ``adam.grads``. The
-    next batch is gathered on an idle core while this one trains, when
-    ``parallel.prefetch`` can claim one; the batches are the same either
-    way. A non-finite loss re-raises as ``NumericError`` carrying the epoch
-    and batch.
+    batches of ``batch_size``. ``batch_loss(sel)`` returns the batch's mean
+    loss with its gradient written into ``adam.grads``. A non-finite loss
+    re-raises as ``NumericError`` carrying the epoch and batch.
     """
-
-    def selections():
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                yield order[start : start + batch_size]
-
-    batches = parallel.prefetch(gather, selections())
-    with closing(batches):  # gives the helper's core back if training stops early
-        for epoch in range(1, epochs + 1):
-            epoch_loss = 0.0
-            for batch, start in enumerate(range(0, n, batch_size), 1):
-                try:
-                    loss = batch_loss(next(batches))
-                except NumericError as exc:
-                    raise NumericError(
-                        f"{exc} at epoch {epoch}, batch {batch}", epoch, batch
-                    ) from None
-                adam.step(lr)
-                epoch_loss += loss * min(batch_size, n - start)
-            yield epoch_loss / n
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for batch, start in enumerate(range(0, n, batch_size), 1):
+            sel = order[start : start + batch_size]
+            try:
+                loss = batch_loss(sel)
+            except NumericError as exc:
+                raise NumericError(
+                    f"{exc} at epoch {epoch}, batch {batch}", epoch, batch
+                ) from None
+            adam.step(lr)
+            epoch_loss += loss * sel.size
+        yield epoch_loss / n
 
 
 # --- forward and backward ---------------------------------------------------
@@ -470,16 +455,15 @@ def train(spec: NetworkSpec, train_x, train_y, val_x=None, val_y=None) -> Traine
     model = init_model(spec, rng)
     adam = Adam(model.layers)
 
-    def gather(sel):
-        return train_x[sel], train_y[sel]
-
-    def batch_loss(batch):
-        loss, _ = loss_and_gradients(model, *batch, update_running=True, grads=adam.grads)
+    def batch_loss(sel):
+        loss, _ = loss_and_gradients(
+            model, train_x[sel], train_y[sel], update_running=True, grads=adam.grads
+        )
         return loss
 
     n = train_x.shape[0]
     for epoch_loss in run_epochs(
-        rng, n, spec.epochs, spec.batch_size, adam, spec.learning_rate, gather, batch_loss
+        rng, n, spec.epochs, spec.batch_size, adam, spec.learning_rate, batch_loss
     ):
         model.train_loss_history.append(epoch_loss)
         if val_x is not None and val_y is not None:

@@ -1,17 +1,15 @@
-"""Threads for per-clip work and training, bounded by the usable cores.
+"""Threads for per-clip work, bounded by the usable cores.
 
-Three kinds of thread run avcount's work: the clip workers of
-``parallel_map``, one clip each; the helpers that one clip's STFT borrows
-through ``lend``; and the training batch helper of ``prefetch``, which
-gathers the next minibatch while the current one trains. Helpers come only
-from a count of idle cores. It starts at usable cores - 1, since the
-calling thread has a core of its own. Every clip worker beyond the first
-holds one core while the map runs, and ``cli.main`` holds back every core
-beyond ``--jobs`` (``cap``). Claims never block and are given back in
-``finally``. So a batch over many clips stays one thread per clip,
-``--jobs 1`` stays single-threaded, and a single request or a training run
-gets the idle cores. Helpers only change which thread computes a row or a
-batch, never its value, so outputs do not depend on any of this.
+Two kinds of thread run avcount's work: the clip workers of
+``parallel_map``, one clip each, and the helpers that one clip's STFT
+borrows through ``lend``. Helpers come only from a count of idle cores. It
+starts at usable cores - 1, since the calling thread has a core of its own.
+Every clip worker beyond the first holds one core while the map runs, and
+``cli.main`` holds back every core beyond ``--jobs`` (``cap``). Claims never
+block and are given back in ``finally``. So a batch over many clips stays
+one thread per clip, ``--jobs 1`` stays single-threaded, and a single
+request gets every idle core. Helpers only change which thread computes a
+row, never its value, so outputs do not depend on any of this.
 
 The count and the pool are process-wide, as the cores are. The helper
 pool has usable cores - 1 threads, started on first use. A forked child
@@ -141,39 +139,6 @@ def lend(work, most):
                 f.result()
     finally:
         _release(n)
-
-
-def prefetch(fn, items):
-    """Yield ``fn(item)`` for each of ``items``, in order, one result ahead.
-
-    If an idle core can be claimed when the first result is asked for, it
-    is held until the generator finishes or is closed, and ``fn`` of the
-    next item runs on a helper while the caller works on the current
-    result. Otherwise each result is computed on this thread when it is
-    asked for. ``items`` is always advanced on the caller's thread, so
-    ``fn`` must not depend on what the caller does between results.
-    """
-    if _claim(1) == 0:
-        yield from map(fn, items)
-        return
-    ahead = None
-    try:
-        pool = _helper_pool()
-        for item in items:
-            if ahead is None:
-                ahead = pool.submit(fn, item)
-                continue
-            current = ahead.result()
-            ahead = pool.submit(fn, item)
-            yield current
-        if ahead is not None:
-            current, ahead = ahead.result(), None
-            yield current
-    finally:
-        if ahead is not None:  # closed early: the helper finishes before its core is given back
-            ahead.cancel()
-            wait([ahead])
-        _release(1)
 
 
 def parallel_map(fn, items, jobs):

@@ -13,7 +13,6 @@ min_gap separates groups; the pair gap is pair_gap, snapped to whole
 frames.
 """
 
-import csv
 import os
 from dataclasses import dataclass, replace
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import parallel
 from .dataio import AudioClip, PassByAnnotation, save_wav
+from .metrics import write_csv
 from .nn_core import check_int, check_real
 
 _U32_MAX = 2**32 - 1
@@ -217,12 +217,6 @@ def generate_corpus(spec: SceneSpec, n_clips: int, out_dir):
         clip_id = f"clip{i:04d}"
         ann_rows.extend((clip_id, f"{tk:.3f}") for tk in instants)  # 1 ms precision
         manifest.append((clip_id, len(instants)))
-    with open(os.path.join(out_dir, "annotations.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "instant_s"])
-        writer.writerows(ann_rows)
-    with open(os.path.join(out_dir, "manifest.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "n_vehicles"])
-        writer.writerows(manifest)
+    write_csv(os.path.join(out_dir, "annotations.csv"), ["clip_id", "instant_s"], ann_rows)
+    write_csv(os.path.join(out_dir, "manifest.csv"), ["clip_id", "n_vehicles"], manifest)
     return manifest

@@ -80,7 +80,7 @@ def _train_run(corpus, seed, cache_key):
     split = split_dataset(ids, 0.8, 0)  # split fixed; run seed shuffles training
     s1 = distreg.stage1_spec(epochs=100, seed=seed)
     s2 = distreg.stage2_spec(epochs=100, seed=seed + 1)
-    pipeline = distreg.train_pipeline(
+    pipeline, _ = distreg.train_pipeline(
         [corpus["features"][i] for i in split.train_ids],
         [corpus["targets"][i] for i in split.train_ids],
         CFG,
@@ -395,7 +395,7 @@ def test_a8_vcprg_protocol():
     test = _load_prepared(test_dir)
 
     split = split_dataset(train["ids"], 0.8, 0)
-    pipeline = distreg.train_pipeline(
+    pipeline, _ = distreg.train_pipeline(
         [train["features"][i] for i in split.train_ids],
         [train["targets"][i] for i in split.train_ids],
         CFG,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ from avcount.features import SpectrogramConfig
 from avcount.nn_core import NetworkSpec, read_checkpoint, write_checkpoint
 from avcount.peakdet import DetectorSpec
 from avcount.synthgen import SceneSpec
+from numeric_checks import one_blas_thread
 
 
 @pytest.fixture(scope="module")
@@ -634,3 +636,40 @@ def test_non_finite_bundle_is_2_naming_file_and_block(case, model_dir, corpus_di
     err = capsys.readouterr().err
     assert err.startswith("data error") and "Traceback" not in err
     assert str(bundle / name) in err and repr(block) in err
+
+
+# SHA-256 of the CSV outputs of one seeded run on one BLAS thread (the
+# networks are trained, so another BLAS may round differently)
+CSV_GOLDEN = {
+    "predict.csv": "06b916de9bc1daa0f391c36d683c60d9ad4f3275e803f1ac6ba74f0881b7f94a",
+    "grid.csv": "fe2c296fd5f6b24012da6929deb89fded00df992c56f60e447621f368494c613",
+    "grid.stdout": "fe2c296fd5f6b24012da6929deb89fded00df992c56f60e447621f368494c613",
+    "VCNN_bands.csv": "7c6191e856ab0ebc9fef2e2ea6dd10f1a7ba9c71a1e414d66be0251b020ee8a4",
+    "VCNN_PP15_bands.csv": "4cb516dc7343a63cbb3e7453d5e4d1800b5859eae6da7e785aa92b09978d2341",
+    "summary.csv": "b03adc8e9fce74dc512bbdac6f9178d34f41f98859dee78e6528379a3f926350",
+}
+
+
+def test_csv_outputs_golden(fast_config, corpus_dir, tmp_path, capsys):
+    """The predict, gridsearch and experiment tables, byte for byte."""
+    cfg = json.loads(open(fast_config).read())
+    cfg["grid"] = {"smoothers": [[5, 3], [7, 3]], "m_fracs": [0.4, 0.45], "p_fracs": [0.2]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    exp_path = tmp_path / "exp.json"
+    exp_path.write_text(json.dumps({
+        "seed": 3, "epochs": 3, "n_runs": 2, "variants": ["VCNN", "VCNN_PP15"], "deep": {"epochs": 2},
+        "paths": {"data_dir": corpus_dir, "out_dir": str(tmp_path)},
+    }))
+    model = str(tmp_path / "model")
+    grid = ["gridsearch", "--config", str(cfg_path), "--data", corpus_dir]
+    with one_blas_thread():
+        assert main(["train", "--config", fast_config, "--data", corpus_dir, "--out", model]) == 0
+        assert main(["predict", "--model", model, "--audio", corpus_dir, "--out", str(tmp_path / "predict.csv")]) == 0
+        assert main(grid + ["--out", str(tmp_path / "grid.csv")]) == 0
+        capsys.readouterr()
+        assert main(grid) == 0
+        (tmp_path / "grid.stdout").write_bytes(capsys.readouterr().out.encode())
+        assert main(["experiment", "--config", str(exp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CSV_GOLDEN}
+    assert digests == CSV_GOLDEN

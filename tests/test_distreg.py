@@ -173,7 +173,7 @@ def tiny_trained():
     ]
     s1 = stage1_spec(epochs=100, seed=0, batch_size=128)
     s2 = stage2_spec(epochs=100, seed=1, batch_size=128)
-    pipeline = train_pipeline(features[:6], targets[:6], cfg, s1, s2)
+    pipeline, _ = train_pipeline(features[:6], targets[:6], cfg, s1, s2)
     return pipeline, clips, features, targets
 
 

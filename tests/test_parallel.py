@@ -124,41 +124,6 @@ def test_clip_workers_borrow_no_helpers(jobs, items, cores):
     assert parallel._idle == 1
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_prefetch_yields_in_order_and_gives_its_core_back(n, cores):
-    pool = cores(n)
-    threads = []
-
-    def fn(item):
-        threads.append(threading.current_thread().name)
-        return item * item
-
-    assert list(parallel.prefetch(fn, range(6))) == [i * i for i in range(6)]
-    assert pool.submitted == (6 if n > 1 else 0)
-    assert all(t.startswith("avcount-helper") == (n > 1) for t in threads)
-    batches = parallel.prefetch(fn, range(6))
-    assert next(batches) == 0
-    assert parallel._idle == 0
-    batches.close()  # a run that stops early
-    assert parallel._idle == n - 1
-
-
-def test_prefetch_raises_the_error_of_its_item(cores):
-    cores(2)
-
-    def fn(item):
-        if item == 3:
-            raise KeyError(item)
-        return item
-
-    got = []
-    with pytest.raises(KeyError):
-        for item in parallel.prefetch(fn, range(6)):
-            got.append(item)
-    assert got == [0, 1, 2]
-    assert parallel._idle == 1
-
-
 def test_pool_never_exceeds_usable_cores_minus_one(cores):
     parallel._reset(3)
     clips = [noise(882000, seed) for seed in range(4)]
@@ -233,7 +198,7 @@ def test_jobs_1_borrows_no_helpers(command, bundle, cores, tmp_path, capsys):
     assert parallel._idle == 3
 
 
-def test_train_gathers_batches_on_the_idle_core(bundle, cores, tmp_path, capsys):
+def test_train_borrows_no_helpers_and_keeps_its_bytes(bundle, cores, tmp_path, capsys):
     def train(jobs):
         out = tmp_path / f"jobs{jobs}"
         argv = ["train", "--deep", "--config", str(bundle / "deep.json"),
@@ -245,8 +210,8 @@ def test_train_gathers_batches_on_the_idle_core(bundle, cores, tmp_path, capsys)
     alone = train(1)
     pool = cores(2)
     assert train(2) == alone
-    # five clips leave no idle core to their STFTs, so every helper gathered a batch
-    assert pool.submitted > 0
+    # five clips leave no idle core to their STFTs, and training runs on the calling thread
+    assert pool.submitted == 0
     assert parallel._idle == 1
     assert set(alone) == {"deep.ckpt", "pipeline.json", "stage1.ckpt", "stage2.ckpt", "stats.bin"}
 
