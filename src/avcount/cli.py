@@ -11,7 +11,9 @@ differ in the last bits.
 
 Threads: a command never runs more than ``--jobs`` worker threads. Clips
 go to up to ``--jobs`` workers at once, and a clip's STFT borrows only the
-cores that the clip workers leave idle (``avcount.parallel``). A library
+cores that the clip workers leave idle (``avcount.parallel``). ``predict``,
+``count`` and ``eval`` share one clip worker, which loads a WAV and runs the
+cascade with the bundle's settings and no others. A library
 call such as ``distreg.predict_distance`` may use every usable core for one
 clip's STFT. Outputs depend on neither. ``synth`` and ``experiment`` take
 no ``--jobs``; they run as library calls do, so ``synth`` writes its clips
@@ -25,7 +27,7 @@ from dataclasses import replace
 
 from . import deepcount, distreg, experiments, metrics, parallel, peakdet, synthgen
 from .config import load_config
-from .dataio import DataError, load_clip, wav_paths
+from .dataio import DataError, corpus_annotations, load_clip, wav_paths
 from .features import extract_features, write_feature_cache
 from .metrics import cell, write_csv
 from .nn_core import NumericError
@@ -85,6 +87,9 @@ def cmd_train(args):
     split, pipeline, train_coarse, coarse, fine = experiments.train_and_predict(
         cfg, ids, features, targets, cfg.seed
     )
+    deep_path = os.path.join(args.out, "deep.ckpt")
+    if os.path.exists(deep_path):  # a bundle holds a deep counter only if this run trained one
+        os.remove(deep_path)
     distreg.save_pipeline(pipeline, args.out)
     m1, m2 = experiments.mean_mse(coarse, targets), experiments.mean_mse(fine, targets)
     print(f"saved pipeline to {args.out} (val MSE stage1 {m1:.3e}, stage2 {m2:.3e})")
@@ -98,25 +103,29 @@ def cmd_train(args):
             split.train_ids,
             cfg.seed,
         )
-        deepcount.save_counter(counter, os.path.join(args.out, "deep.ckpt"))
-        print(f"saved deep counter to {os.path.join(args.out, 'deep.ckpt')}")
+        deepcount.save_counter(counter, deep_path)
+        print(f"saved deep counter to {deep_path}")
     return 0
 
 
-def _predict_series(pipeline, paths, jobs):
+def _clip_series(pipeline, paths, jobs):
+    """(clip id, duration, Stage-1 series, Stage-2 series) per WAV, in path order."""
+
     def one(path):
         clip = load_clip(path)
-        return clip.id, distreg.predict_distance(pipeline, clip)
+        fm = extract_features(clip, pipeline.spectrogram, pipeline.q, pipeline.stride)
+        (coarse,), (fine,) = distreg.cascade(pipeline, [fm])
+        return clip.id, clip.duration, coarse, fine
 
     return parallel.parallel_map(one, paths, jobs)
 
 
 def cmd_predict(args):
     pipeline = distreg.load_pipeline(args.model)
-    results = _predict_series(pipeline, wav_paths(args.audio), args.jobs)
+    results = _clip_series(pipeline, wav_paths(args.audio), args.jobs)
     rows = (
         [clip_id, m, cell(m * series.frame_period), cell(value)]
-        for clip_id, series in results
+        for clip_id, _, _, series in results
         for m, value in enumerate(series.values)
     )
     write_csv(args.out, ["clip_id", "frame", "t_s", "d_hat_s"], rows)
@@ -130,9 +139,8 @@ def cmd_count(args):
     t_det = args.tdet if args.tdet is not None else pipeline.t_d
     if not 0 <= t_det <= pipeline.t_d:
         raise DataError(f"--tdet must lie in [0, {pipeline.t_d}]")
-    results = _predict_series(pipeline, wav_paths(args.audio), args.jobs)
     total = 0
-    for clip_id, series in results:
+    for clip_id, _, _, series in _clip_series(pipeline, wav_paths(args.audio), args.jobs):
         detections = peakdet.detect_vehicles(series, cfg.detector)
         n = peakdet.count_at_threshold(detections, t_det)
         total += n
@@ -144,22 +152,12 @@ def cmd_count(args):
 def cmd_eval(args):
     cfg = load_config(args.config)
     variants = cfg.variants if args.config else ("VCNN",)
-    for v in variants:
-        if v == "VCNN_f0":
-            raise DataError("VCNN_f0 requires a retrain; use the experiment command")
+    if "VCNN_f0" in variants:
+        raise DataError("VCNN_f0 requires a retrain; use the experiment command")
     pipeline = distreg.load_pipeline(args.model)
-    bundle = replace(
-        cfg, spectrogram=pipeline.spectrogram, q=pipeline.q, stride=pipeline.stride, t_d=pipeline.t_d
-    )
-    ids, features, _, anns_by_id, _ = experiments.prepare_corpus(bundle, args.data, args.jobs)
-
-    def one(clip_id):
-        (coarse,), (fine,) = distreg.cascade(pipeline, [features[clip_id]])
-        return coarse, fine
-
-    coarse, fine = zip(*parallel.parallel_map(one, ids, args.jobs))
+    ids, durations, coarse, fine = zip(*_clip_series(pipeline, wav_paths(args.data), args.jobs))
     ctx = experiments.EvalContext(
-        annotations=anns_by_id,
+        annotations={a.clip_id: a for a in corpus_annotations(args.data, dict(zip(ids, durations)))},
         stage2=dict(zip(ids, fine)),
         stage1=dict(zip(ids, coarse)),
         t_d=pipeline.t_d,

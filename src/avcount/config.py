@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from . import distreg
 from .dataio import DEFAULT_T_D, DataError
 from .deepcount import ConvCounterSpec
-from .experiments import GridSpec, check_variant
+from .experiments import GridSpec, parse_variant
 from .features import SpectrogramConfig
 from .nn_core import check_int, check_keys, check_real, spec_from_json
 from .peakdet import DetectorSpec
@@ -61,7 +61,7 @@ class ToolConfig:
         if not isinstance(self.variants, (list, tuple)):
             raise TypeError(f"variants must be a list of names, got {self.variants!r}")
         for name in self.variants:
-            check_variant(name)
+            parse_variant(name)
         if not self.variants or len(set(self.variants)) != len(self.variants):
             raise ValueError(f"variants must name each variant once, got {self.variants!r}")
         self.variants = tuple(self.variants)

@@ -115,8 +115,7 @@ def grid_search(predictions, annotations, grid: GridSpec, t_d: float):
         # would lay the threshold axis out first and round differently
         prefix = np.searchsorted(distance, thresholds[in_range], side="left")
         below = np.take(kept_before, prefix, axis=2)
-        rvce = (n_true - below) / n_true * 100.0
-        scores = np.mean(np.abs(rvce), axis=2)
+        scores = np.mean(np.abs(metrics.rvce(n_true, below)), axis=2)
         for i, m_frac in enumerate(grid.m_fracs):
             for j, p_frac in enumerate(grid.p_fracs):
                 score = float(scores[i, j])
@@ -147,45 +146,37 @@ class EvalContext:
 
 
 _PP_VARIANT = re.compile(r"VCNN_PP(\d+(?:\.\d+)?)")
+# the EvalContext field each named variant reads
+_VARIANT_SERIES = {"VCNN": "stage2", "VCNN_S1": "stage1", "VCNN_f0": "f0_stage2"}
 
 
-def check_variant(name):
-    """Raise ValueError unless ``name`` names a variant run_ablation knows.
+def parse_variant(name):
+    """(detector, EvalContext series field) of the variant ``name``.
 
-    Those are the TUNED_DETECTORS keys and VCNN_PP<n>, the prominence-only
-    detector at n percent of t_d with 0 < n <= 100.
+    The variants are the TUNED_DETECTORS keys and VCNN_PP<n>, the
+    prominence-only detector at n percent of t_d with 0 < n <= 100, which
+    reads Stage 2. VCNN's detector is None: it runs the context's
+    ``detector``. Any other name raises ValueError.
     """
     if isinstance(name, str):
-        if name in TUNED_DETECTORS:
-            return
+        if name in _VARIANT_SERIES:
+            return (None if name == "VCNN" else TUNED_DETECTORS[name]), _VARIANT_SERIES[name]
         match = _PP_VARIANT.fullmatch(name)
-        if match and 0 < float(match.group(1)) <= 100:
-            return
+        if match and 0 < (pct := float(match.group(1))) <= 100:
+            return pp_detector(pct / 100.0), "stage2"
     raise ValueError(
         f"unknown variant {name!r} (known: {', '.join(TUNED_DETECTORS)}, "
         "VCNN_PP<n> with 0 < n <= 100)"
     )
 
 
-def _variant_inputs(variant: str, ctx: EvalContext):
-    check_variant(variant)
-    if variant == "VCNN":
-        return ctx.detector, ctx.stage2
-    if variant == "VCNN_S1":
-        if ctx.stage1 is None:
-            raise ValueError("VCNN_S1 needs Stage-1 predictions in the context")
-        return TUNED_DETECTORS["VCNN_S1"], ctx.stage1
-    if variant == "VCNN_f0":
-        if ctx.f0_stage2 is None:
-            raise ValueError("VCNN_f0 needs the f_min=0 retrain in the context")
-        return TUNED_DETECTORS["VCNN_f0"], ctx.f0_stage2
-    pct = float(variant[len("VCNN_PP") :])
-    return pp_detector(pct / 100.0), ctx.stage2
-
-
 def run_ablation(variant: str, ctx: EvalContext) -> MetricsReport:
     """Evaluate one variant on the context's clips."""
-    det, series_by_id = _variant_inputs(variant, ctx)
+    det, field_name = parse_variant(variant)
+    series_by_id = getattr(ctx, field_name)
+    if series_by_id is None:
+        raise ValueError(f"{variant} needs {field_name} series in the context")
+    det = ctx.detector if det is None else det
     per_clip = []
     for clip_id, ann in ctx.annotations.items():
         series = series_by_id[clip_id]
@@ -212,16 +203,18 @@ def _f0_config(cfg: "ToolConfig") -> "ToolConfig":
 def prepare_corpus(cfg: "ToolConfig", data_dir, jobs, cache_dir=None, f0=False):
     """Extract raw features of the corpus in ``data_dir`` and build targets.
 
-    The clips (``wav_paths``) stream through up to ``jobs`` clip workers:
-    each loads its WAV, reads its features from ``<cache_dir>/<id>.avcf``
-    when that file exists, and otherwise runs one ``stft_power`` that feeds
-    ``log_mel`` + ``stack_context`` for each setting: the configured one,
-    plus VCNN_f0's f_min = 0 when ``f0`` is set. A worker drops the samples
-    once its clip is done, so only one clip per worker is held at a time.
-    Pass ``cache_dir`` or ``f0``, not both: a cache holds the configured
-    setting. The annotations come from ``corpus_annotations``, once every
-    clip has loaded; a clip that fails to load raises the ``DataError`` of
-    the first failing path, in path order.
+    The corpus loader of the commands that train (``train``, ``gridsearch``,
+    ``experiment``); inference holds no corpus. The clips (``wav_paths``)
+    stream through up to ``jobs`` clip workers: each loads its WAV, reads
+    its features from ``<cache_dir>/<id>.avcf`` when that file exists, and
+    otherwise runs one ``stft_power`` that feeds ``log_mel`` +
+    ``stack_context`` for each setting: the configured one, plus VCNN_f0's
+    f_min = 0 when ``f0`` is set. A worker drops the samples once its clip
+    is done, so only one clip per worker is held at a time. Pass
+    ``cache_dir`` or ``f0``, not both: a cache holds the configured setting.
+    The annotations come from ``corpus_annotations``, once every clip has
+    loaded; a clip that fails to load raises the ``DataError`` of the first
+    failing path, in path order.
 
     Returns (ids, features_by_id, targets_by_id, anns_by_id, f0 features by
     id or None).

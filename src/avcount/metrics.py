@@ -135,15 +135,17 @@ def compute_curve(per_clip, t_d: float, n_points: int = 100) -> MetricsReport:
         p_tp=p_tp,
         p_fp=p_fp,
         p_fn=p_fn,
-        rvce=(n_true - below) / n_true * 100.0,
+        rvce=rvce(n_true, below),
         area_ptp=float(p_tp.mean()),
         efp_tdet=efp_tdet,
         efp_value=efp_value,
     )
 
 
-def rvce(n_true: int, n_est: int) -> float:
-    """Signed relative counting error in percent; positive = undercounting."""
+def rvce(n_true: int, n_est):
+    """Signed relative counting error in percent; positive = undercounting.
+
+    An array ``n_est`` gives an array."""
     if n_true <= 0:
         raise ValueError("n_true must be positive")
     return (n_true - n_est) / n_true * 100.0

@@ -17,7 +17,7 @@ from avcount.dataio import DataError
 from avcount.deepcount import ConvCounterSpec
 from avcount.experiments import GridSpec
 from avcount.features import SpectrogramConfig
-from avcount.nn_core import NetworkSpec, read_checkpoint, write_checkpoint
+from avcount.nn_core import NetworkSpec, NumericError, read_checkpoint, write_checkpoint
 from avcount.peakdet import DetectorSpec
 from avcount.synthgen import SceneSpec
 from numeric_checks import one_blas_thread
@@ -334,6 +334,24 @@ class TestPipelineCommands:
         names = sorted(os.listdir(model_dir))
         assert names == ["pipeline.json", "stage1.ckpt", "stage2.ckpt", "stats.bin"]
 
+    def test_retrain_drops_the_deep_counter_it_did_not_train(self, fast_config, corpus_dir, tmp_path, monkeypatch):
+        out = tmp_path / "b2"
+        train = ["train", "--config", fast_config, "--data", corpus_dir, "--out", str(out), "--jobs", "1"]
+        assert main(train + ["--deep"]) == 0
+        assert (out / "deep.ckpt").exists()
+        monkeypatch.setenv("AVC_SEED", "9")
+        assert main(train) == 0
+        assert not (out / "deep.ckpt").exists()
+
+        assert main(train + ["--deep"]) == 0
+
+        def diverge(*args):
+            raise NumericError("loss became nan")
+
+        monkeypatch.setattr("avcount.deepcount.train_counter", diverge)
+        assert main(train + ["--deep"]) == 3
+        assert (out / "stage1.ckpt").exists() and not (out / "deep.ckpt").exists()
+
     def test_train_from_feature_cache_matches_direct(self, fast_config, corpus_dir, tmp_path):
         cache = tmp_path / "cache"
         main(["extract", "--config", fast_config, "--audio", corpus_dir, "--out", str(cache), "--jobs", "1"])
@@ -538,6 +556,7 @@ class TestPipelineCommands:
             raise AssertionError("the corpus was read")
 
         monkeypatch.setattr("avcount.experiments.load_clip", no_audio)  # prepare_corpus's clip loader
+        monkeypatch.setattr("avcount.cli.load_clip", no_audio)  # the inference clip worker's
         out_dir = tmp_path / "out"
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(
@@ -647,11 +666,18 @@ CSV_GOLDEN = {
     "VCNN_bands.csv": "7c6191e856ab0ebc9fef2e2ea6dd10f1a7ba9c71a1e414d66be0251b020ee8a4",
     "VCNN_PP15_bands.csv": "4cb516dc7343a63cbb3e7453d5e4d1800b5859eae6da7e785aa92b09978d2341",
     "summary.csv": "b03adc8e9fce74dc512bbdac6f9178d34f41f98859dee78e6528379a3f926350",
+    "count.stdout": "e706c2bece0b5595ced86774b5f8339998cb89ae18a344e50a29cc1ad57c19dd",
+    "eval/VCNN_curve.csv": "9cd1673b328cd3f8a56b903631c5a2af9a9a37f11bb1ac63691ca10765e7fecf",
+    "eval/VCNN_summary.csv": "7fe803016a5dacf06e47cac53d2f8c11905d5d52b052404f9a4dcc9dfdd4bf14",
+    "eval/VCNN_S1_curve.csv": "2a7fe93cc27636540ac030c3d622c6a7372fe1f65386c180327a5f3da66b47f8",
+    "eval/VCNN_S1_summary.csv": "9768484ced9371416f64611781dc8421a95df87e74b6cd4f245dc99a5e855a38",
+    "eval/VCNN_PP10_curve.csv": "febf5de4855a043478a79813ba8cc6535233c0de2e152b402ff453dbcfac130b",
+    "eval/VCNN_PP10_summary.csv": "a68942eb79805eae230a5d0abd7c6b0271029215e18a9d76da46d7b06fbd1c3c",
 }
 
 
 def test_csv_outputs_golden(fast_config, corpus_dir, tmp_path, capsys):
-    """The predict, gridsearch and experiment tables, byte for byte."""
+    """The predict, count, eval, gridsearch and experiment tables, byte for byte."""
     cfg = json.loads(open(fast_config).read())
     cfg["grid"] = {"smoothers": [[5, 3], [7, 3]], "m_fracs": [0.4, 0.45], "p_fracs": [0.2]}
     cfg_path = tmp_path / "cfg.json"
@@ -661,11 +687,18 @@ def test_csv_outputs_golden(fast_config, corpus_dir, tmp_path, capsys):
         "seed": 3, "epochs": 3, "n_runs": 2, "variants": ["VCNN", "VCNN_PP15"], "deep": {"epochs": 2},
         "paths": {"data_dir": corpus_dir, "out_dir": str(tmp_path)},
     }))
+    eval_path = tmp_path / "eval.json"
+    eval_path.write_text(json.dumps({"variants": ["VCNN", "VCNN_S1", "VCNN_PP10"]}))
     model = str(tmp_path / "model")
     grid = ["gridsearch", "--config", str(cfg_path), "--data", corpus_dir]
     with one_blas_thread():
         assert main(["train", "--config", fast_config, "--data", corpus_dir, "--out", model]) == 0
         assert main(["predict", "--model", model, "--audio", corpus_dir, "--out", str(tmp_path / "predict.csv")]) == 0
+        capsys.readouterr()
+        assert main(["count", "--model", model, "--audio", corpus_dir]) == 0
+        (tmp_path / "count.stdout").write_bytes(capsys.readouterr().out.encode())
+        assert main(["eval", "--model", model, "--data", corpus_dir, "--out", str(tmp_path / "eval"),
+                     "--config", str(eval_path)]) == 0
         assert main(grid + ["--out", str(tmp_path / "grid.csv")]) == 0
         capsys.readouterr()
         assert main(grid) == 0

@@ -169,7 +169,8 @@ def test_counts_and_classes_equal_peak_oracle(series_set):
     ctx = series_set.context
     thresholds = np.linspace(0.0, T_D, 100).tolist()
     for v in VARIANTS:
-        det, series_by_id = experiments._variant_inputs(v, ctx)
+        det, field_name = experiments.parse_variant(v)
+        det, series_by_id = det or ctx.detector, getattr(ctx, field_name)
         for clip_id, ann in ctx.annotations.items():
             intervals = metrics.build_intervals(ann, T_D)
             new = peakdet.detect_vehicles(series_by_id[clip_id], det)
