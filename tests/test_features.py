@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from avcount.features import (
     SpectrogramConfig,
     extract_features,
     hf_lms,
+    hz_to_mel,
     mel_filterbank,
     n_frames_for,
     read_feature_cache,
@@ -19,7 +21,7 @@ from avcount.features import (
     write_feature_cache,
 )
 from avcount.synthgen import SceneSpec, generate_scene
-from numeric_checks import blas_thread_count, one_blas_thread
+from numeric_checks import blas_thread_count, mel_to_hz, one_blas_thread
 
 
 def tone_clip(freq, n=882000, rate=44100, amp=0.5, clip_id="tone"):
@@ -186,8 +188,6 @@ class TestMelFilterbank:
         assert fb.shape[0] == 1
         assert fb.max() == 1.0
         freqs = np.arange(fb.shape[1]) * 44100 / cfg.window_len
-        from avcount.features import hz_to_mel, mel_to_hz
-
         mid_hz = mel_to_hz((hz_to_mel(1000.0) + hz_to_mel(22050.0)) / 2)
         peak_hz = freqs[int(np.argmax(fb[0]))]
         assert abs(peak_hz - mid_hz) < 44100 / cfg.window_len
@@ -334,6 +334,26 @@ class TestStandardize:
         for fm, raw in zip(out, mats):
             assert fm.clip_id == raw.clip_id
             assert np.array_equal(fm.data, (raw.data - stats.mean) / stats.std)
+
+    @pytest.mark.parametrize("rows,dim", [(5400, 528), (2700, 528), (777, 31), (5, 528), (1, 7)])
+    def test_fit_equals_numpy_mean_and_std(self, rows, dim):
+        rng = np.random.default_rng(rows)
+        data = rng.normal(2.0, 3.0, size=(rows, dim)) * rng.uniform(0.1, 10.0, dim)
+        parts = np.array_split(data, min(rows, 3))
+        _, stats = standardize([FeatureMatrix(f"c{i}", p, 0.05) for i, p in enumerate(parts)])
+        assert np.array_equal(stats.mean, data.mean(axis=0))
+        assert np.array_equal(stats.std, np.maximum(data.std(axis=0), 1e-8))  # the formula it replaced
+
+    def test_fit_allocates_no_second_full_size_matrix(self):
+        rng = np.random.default_rng(5)
+        mats = [FeatureMatrix(f"c{i}", rng.normal(size=(450, 528)), 0.05) for i in range(6)]
+        tracemalloc.start()
+        try:
+            standardize(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 6 * 450 * 528 * 8  # the pooled matrix and a quarter more
 
 
 def test_extract_features_shape_contract():

@@ -7,7 +7,6 @@ from avcount.dataio import PassByAnnotation
 from avcount.metrics import (
     _interval_minima,
     build_intervals,
-    classify_detections,
     compute_curve,
     confidence_interval,
     rvce,
@@ -15,6 +14,7 @@ from avcount.metrics import (
     write_summary_csv,
 )
 from avcount.peakdet import Detections
+from numeric_checks import classify_detections
 
 T_D = 0.75
 

@@ -114,12 +114,55 @@ def test_idle_count_survives_many_concurrent_callers(cores):
     assert all(np.array_equal(p, want[i % 8]) for i, p in enumerate(got))
 
 
+def test_maps_of_many_callers_keep_order_bytes_and_count(cores):
+    cores(3)
+    clips = [noise(5 * 44100, seed) for seed in range(6)]  # three blocks each
+    want = [serial_power(c, CFG) for c in clips]
+
+    def call(i):  # a map of clips whose STFTs map their blocks
+        order = [(i + k) % 6 for k in range(4)]
+        return order, parallel.parallel_map(lambda j: stft_power(clips[j], CFG), order, 1 + i % 3)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as callers:  # more callers than cores
+            got = list(callers.map(call, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert parallel._idle == 2
+    for order, powers in got:
+        assert len(powers) == len(order)
+        assert all(np.array_equal(p, want[j]) for j, p in zip(order, powers))
+
+
+def test_map_raises_the_lowest_failing_index(cores):
+    cores(2)
+    later_failed, ran = threading.Event(), set()
+
+    def fn(i):
+        ran.add(i)
+        if i == 1:
+            later_failed.set()
+            raise ValueError(i)
+        assert later_failed.wait(10)  # item 0 fails after item 1, on the other thread
+        raise KeyError(i)
+
+    with pytest.raises(KeyError) as exc:
+        parallel.parallel_map(fn, [0, 1, 2, 3], 2)
+    assert exc.value.args == (0,)
+    assert ran == {0, 1}  # no thread takes an item after a failure
+    assert parallel._idle == 1
+    assert parallel.parallel_map(fn, [], 2) == []
+
+
 @pytest.mark.parametrize("jobs,items", [(2, 2), (2, 5), (3, 5)])
 def test_clip_workers_borrow_no_helpers(jobs, items, cores):
     pool = cores(2)
     clips = [noise(882000, seed) for seed in range(items)]
     powers = parallel.parallel_map(lambda c: stft_power(c, CFG), clips, jobs)
-    assert pool.submitted == 0
+    # only the clip workers beyond the calling thread, bounded by the two cores
+    assert pool.submitted == min(jobs, items, 2) - 1
     assert all(np.array_equal(p, serial_power(c, CFG)) for p, c in zip(powers, clips))
     assert parallel._idle == 1
 
@@ -210,8 +253,9 @@ def test_train_borrows_no_helpers_and_keeps_its_bytes(bundle, cores, tmp_path, c
     alone = train(1)
     pool = cores(2)
     assert train(2) == alone
-    # five clips leave no idle core to their STFTs, and training runs on the calling thread
-    assert pool.submitted == 0
+    # one clip worker besides the calling thread: five clips leave no idle
+    # core to their STFTs, and training runs on the calling thread
+    assert pool.submitted == 1
     assert parallel._idle == 1
     assert set(alone) == {"deep.ckpt", "pipeline.json", "stage1.ckpt", "stage2.ckpt", "stats.bin"}
 
