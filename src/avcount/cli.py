@@ -16,7 +16,7 @@ gets only the cores that the clip workers leave idle. ``predict``,
 ``count`` and ``eval`` share one clip worker, which loads a WAV and runs the
 cascade with the bundle's settings and no others. A library
 call such as ``distreg.predict_distance`` may use every usable core for one
-clip's STFT. Outputs depend on neither. ``synth`` and ``experiment`` take
+clip's STFT. Outputs depend on none of this. ``synth`` and ``experiment`` take
 no ``--jobs``; they run as library calls do, so ``synth`` writes its clips
 and ``experiment`` extracts its clips on up to usable-cores clip workers.
 """
