@@ -10,13 +10,13 @@ features and experiment reports made under another thread count may
 differ in the last bits.
 
 Threads: a command never runs more than ``--jobs`` threads, nor more than
-the usable cores. Its clips and each clip's STFT blocks go through one map,
-``parallel.parallel_map``, whose helpers claim idle cores, so a clip's STFT
-gets only the cores that the clip workers leave idle. ``predict``,
+the usable cores. Its clips and each clip's front-end blocks go through one
+map, ``parallel.parallel_map``, whose helpers claim idle cores, so a clip's
+front end gets only the cores that the clip workers leave idle. ``predict``,
 ``count`` and ``eval`` share one clip worker, which loads a WAV and runs the
 cascade with the bundle's settings and no others. A library
 call such as ``distreg.predict_distance`` may use every usable core for one
-clip's STFT. Outputs depend on none of this. ``synth`` and ``experiment`` take
+clip's front end. Outputs depend on none of this. ``synth`` and ``experiment`` take
 no ``--jobs``; they run as library calls do, so ``synth`` writes its clips
 and ``experiment`` extracts its clips on up to usable-cores clip workers.
 """

@@ -131,8 +131,8 @@ def load_clip(path, clip_id: str | None = None) -> AudioClip:
     2^(bits-1), so -32768 maps to -1.0 (8-bit PCM is unsigned and is
     offset by 128 first); 16-, 24- and 32-bit samples are multiplied by the
     power-of-two reciprocal in one pass, which is exact like the division. A
-    ``data`` chunk that declares more bytes than the file holds raises
-    DataError. Every DataError names the file: ``<path>: <reason>``.
+    ``fmt `` or ``data`` chunk that declares more bytes than the file holds
+    raises DataError. Every DataError names the file: ``<path>: <reason>``.
     """
     try:
         x, sample_rate = _read_wav(path)
@@ -156,6 +156,8 @@ def _read_wav(path):
     off, size = chunks[b"fmt "]
     if size < 16:
         raise DataError("fmt chunk too short")
+    if size > len(data) - off:
+        raise DataError(f"fmt chunk declares {size} bytes but the file holds {len(data) - off}")
     fmt_code, n_channels, sample_rate, _, block_align, bits = struct.unpack_from(
         "<HHIIHH", data, off
     )

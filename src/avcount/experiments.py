@@ -27,7 +27,7 @@ from .dataio import (
     split_dataset,
     wav_paths,
 )
-from .features import FeatureMatrix, log_mel, read_feature_cache, stack_context, stft_power
+from .features import FeatureMatrix, log_mels, read_feature_cache, stack_context
 from .metrics import MetricsReport, compute_curve, confidence_interval
 from .nn_core import NumericError, check_real
 from .peakdet import DetectorSpec, SmootherSpec, check_lengths, detect_vehicles, peak_candidates
@@ -207,10 +207,10 @@ def prepare_corpus(cfg: "ToolConfig", data_dir, jobs, cache_dir=None, f0=False):
     ``experiment``); inference holds no corpus. The clips (``wav_paths``)
     stream through up to ``jobs`` clip workers: each loads its WAV, reads
     its features from ``<cache_dir>/<id>.avcf`` when that file exists, and
-    otherwise runs one ``stft_power`` that feeds ``log_mel`` +
-    ``stack_context`` for each setting: the configured one, plus VCNN_f0's
-    f_min = 0 when ``f0`` is set. A worker drops the samples once its clip
-    is done, so only one clip per worker is held at a time. Pass
+    otherwise runs ``log_mels``, which computes each block's power once for
+    every setting, then ``stack_context``: the configured setting, plus
+    VCNN_f0's f_min = 0 when ``f0`` is set. A worker drops the samples once
+    its clip is done, so only one clip per worker is held at a time. Pass
     ``cache_dir`` or ``f0``, not both: a cache holds the configured setting.
     The annotations come from ``corpus_annotations``, once every clip has
     loaded; a clip that fails to load raises the ``DataError`` of the first
@@ -226,9 +226,10 @@ def prepare_corpus(cfg: "ToolConfig", data_dir, jobs, cache_dir=None, f0=False):
             path = os.path.join(cache_dir, clip.id + ".avcf")
             if os.path.exists(path):
                 return [read_feature_cache(path, clip, cfg.spectrogram, cfg.q, cfg.stride)]
-        power = stft_power(clip, cfg.spectrogram)
-        lms = [(log_mel(power, s, clip.sample_rate), s.frame_period) for s in specs]
-        return [FeatureMatrix(clip.id, stack_context(m, cfg.q, cfg.stride), fp) for m, fp in lms]
+        return [
+            FeatureMatrix(clip.id, stack_context(m, cfg.q, cfg.stride), s.frame_period)
+            for m, s in zip(log_mels(clip, specs), specs)
+        ]
 
     def one(path):
         clip = load_clip(path)

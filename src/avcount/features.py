@@ -7,20 +7,23 @@ below 1 kHz is what turns the LMS into the HF-LMS. Feature vectors stack
 the spectra at q=5 surrounding instants with a stride of 2, giving
 (2q+1) * n_mel = 528 dimensions.
 
-``stft_power`` windows, transforms and squares the frames in blocks of 64,
-writing each block's power straight into the output matrix. The blocks go
-to ``parallel.parallel_map``: a library call on one clip may use every
-usable core, a command never more than ``--jobs`` threads, and the bytes
-depend on neither, since each block is transformed alone. Frames that lie
-inside the clip are read as views of its samples; only the few that
-overhang an edge read a reflect-padded copy of the first or last window.
-Each mel filterbank is built once per setting and cached read-only, and
-the mel projection stays one ``power @ fb.T`` over all frames (a blocked
-product would round differently). The result is bit-identical to the
-direct ``np.pad`` + full-array ``rfft`` formula. For a 20 s clip the peak
-working memory of ``extract_features`` is 13.2 MB on one thread and
-17.4 MB with one helper: the 8.8 MB power matrix plus 2.1 MB of windowed
-frames and 2.1 MB of transform per thread.
+``log_mels`` is the front end. It splits a clip's frames into blocks of 64
+(the last block takes the short tail) and hands them to
+``parallel.parallel_map``: a library call on one clip may use every usable
+core, a command never more than ``--jobs`` threads. Each block windows,
+transforms and squares its frames (``stft_power`` of the range), then
+projects that power onto the mel bands of every requested setting
+(``log_mel``), straight into the frames x n_mel outputs; no frames x bins
+matrix is built. Frames that lie inside the clip are read as views of its
+samples; a block that overhangs an edge reads a reflect-padded copy of the
+samples it spans. The Hamming window and each mel filterbank are built
+once per setting and cached read-only. Each frame is transformed alone,
+and a row block of the mel product rounds as the whole product does under
+the same BLAS thread count, so the result is bit-identical to the direct
+``np.pad`` + full-array ``rfft`` + one ``power @ fb.T`` formula. For a 20 s
+clip the peak working memory of ``extract_features`` is 6.2 MB on one
+thread and 10.4 MB with one helper; ``hf_lms`` on a 600 s clip peaks at
+14 MiB, 6.2 MB of it the output.
 """
 
 import functools
@@ -34,7 +37,7 @@ from .dataio import AudioClip, DataError
 
 DEFAULT_Q = 5
 DEFAULT_CONTEXT_STRIDE = 2
-_BLOCK_FRAMES = 64  # frames per STFT pass and rows per standardization pass
+_BLOCK_FRAMES = 64  # frames per front-end block and rows per standardization pass
 
 
 @dataclass(frozen=True)
@@ -118,40 +121,49 @@ def n_frames_for(n_samples: int, hop: int) -> int:
     return (n_samples - 1) // hop + 1
 
 
-def _frame_runs(x: np.ndarray, cfg: SpectrogramConfig, n_frames: int):
-    """(first frame, frames view) runs covering frames 0..n_frames-1.
+def _frames(x: np.ndarray, cfg: SpectrogramConfig, start: int, stop: int) -> np.ndarray:
+    """Frames start..stop-1 of the reflect-padded clip, (stop-start) x window_len.
 
-    Frame m is padded[m*hop : m*hop + window_len] of the reflect-padded
-    signal. Frames wholly inside the clip are read as views of ``x``; only
-    the ones that overhang an edge read a padded copy of the first or last
-    window. A clip shorter than one window is padded whole, since np.pad
-    then reflects more than once.
+    Frame m is padded[m*hop : m*hop + window_len] of the signal padded by
+    window_len/2 on both ends. A range wholly inside the clip is read as a
+    view of ``x``; one that overhangs an edge reads a padded copy of just
+    the samples it spans, at least one window, so np.pad reflects once as
+    it does on the whole clip. A clip shorter than one window is padded
+    whole, since np.pad then reflects more than once.
     """
     w, hop, half, n = cfg.window_len, cfg.hop, cfg.window_len // 2, x.size
-
-    def frames(src, count):
-        return np.lib.stride_tricks.sliding_window_view(src, w)[::hop][:count]
-
+    begin, end = start * hop - half, (stop - 1) * hop + w - half  # the span in x
+    src = x
     if n < w:
-        return [(0, frames(np.pad(x, half, mode="reflect"), n_frames))]
-    lo = -(-half // hop)  # first frame that starts inside the clip
-    hi = (n + half - w) // hop + 1  # first frame that ends past it
-    runs = [(0, frames(np.pad(x[:w], (half, 0), mode="reflect"), lo))]
-    if hi > lo:
-        runs.append((lo, frames(x[lo * hop - half :], hi - lo)))
-    if n_frames > hi:
-        tail = np.pad(x[n - w :], (0, half), mode="reflect")
-        runs.append((hi, frames(tail[hi * hop - half - (n - w) :], n_frames - hi)))
-    return runs
+        src, begin = np.pad(x, half, mode="reflect"), begin + half
+    elif begin < 0 or end > n:
+        lo, hi = max(0, min(begin, n - w)), min(n, max(end, w))
+        left, right = half * (begin < 0), half * (end > n)
+        src = np.pad(x[lo:hi], (left, right), mode="reflect")
+        begin += left - lo
+    step = src.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        src[begin:], (stop - start, w), (hop * step, step), writeable=False
+    )
 
 
-def stft_power(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
-    """Power spectrogram, frames x (window_len/2+1) bins.
+@functools.lru_cache(maxsize=4)
+def _hamming(window_len: int) -> np.ndarray:
+    """np.hamming(window_len), built once per length and shared read-only."""
+    window = np.hamming(window_len)
+    window.flags.writeable = False
+    return window
+
+
+def stft_power(
+    clip: AudioClip, cfg: SpectrogramConfig, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Power spectrogram of frames start..stop-1 (all by default), x (window_len/2+1) bins.
 
     Frame m is centered at sample m*hop; the signal is reflect-padded by
-    window_len/2 on both ends so the count is floor((n-1)/hop)+1. The
-    blocks of frames go to ``parallel.parallel_map``; each is transformed
-    alone, so the bytes do not depend on which thread takes it.
+    window_len/2 on both ends so the count is floor((n-1)/hop)+1. Each
+    frame is transformed alone, so a frame's row does not depend on the
+    range it is computed in.
     """
     if clip.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -161,21 +173,11 @@ def stft_power(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
     if x.size < cfg.hop:
         raise ValueError("clip shorter than one hop")
     n_frames = n_frames_for(x.size, cfg.hop)
-    window = np.hamming(cfg.window_len)
-    power = np.empty((n_frames, cfg.n_bins))
-    blocks = []  # (rows of power, frames) pairs
-    for first, frames in _frame_runs(x, cfg, n_frames):
-        for s in range(0, len(frames), _BLOCK_FRAMES):
-            rows = frames[s : s + _BLOCK_FRAMES]
-            blocks.append((power[first + s : first + s + len(rows)], rows))
-
-    def transform(block):
-        out, rows = block
-        np.abs(np.fft.rfft(rows * window, axis=1), out=out)
-        np.square(out, out=out)
-
-    parallel.parallel_map(transform, blocks, len(blocks))
-    return power
+    stop = n_frames if stop is None else stop
+    if not 0 <= start < stop <= n_frames:
+        raise ValueError(f"frame range {start}..{stop} outside 0..{n_frames}")
+    power = np.abs(np.fft.rfft(_frames(x, cfg, start, stop) * _hamming(cfg.window_len), axis=1))
+    return np.square(power, out=power)
 
 
 def hz_to_mel(f):
@@ -209,20 +211,52 @@ def mel_filterbank(cfg: SpectrogramConfig, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def log_mel(power: np.ndarray, cfg: SpectrogramConfig, sample_rate: int) -> np.ndarray:
+def log_mel(power: np.ndarray, cfg: SpectrogramConfig, sample_rate: int, out=None) -> np.ndarray:
     """log(filterbank @ power + log_floor), natural log, frames x n_mel.
 
-    ``power`` is stft_power's matrix; configs that differ only in their mel
-    settings (f_min, f_max, n_mel, log_floor) can share it.
+    ``power`` holds rows of stft_power; the result goes into ``out`` when
+    given. Row blocks of the product round as the whole product does on the
+    same BLAS thread count.
     """
-    mel = power @ mel_filterbank(cfg, sample_rate).T
+    mel = np.matmul(power, mel_filterbank(cfg, sample_rate).T, out=out)
     mel += cfg.log_floor
     return np.log(mel, out=mel)
 
 
+def _frame_blocks(n_frames: int) -> list:
+    """(start, stop) ranges of _BLOCK_FRAMES frames; the last one takes the short tail."""
+    stops = list(range(_BLOCK_FRAMES, n_frames - _BLOCK_FRAMES + 1, _BLOCK_FRAMES)) + [n_frames]
+    return list(zip([0] + stops[:-1], stops))
+
+
+def log_mels(clip: AudioClip, cfgs) -> list:
+    """log_mel of stft_power for each setting in ``cfgs``, one frames x n_mel matrix each.
+
+    The settings may differ only in their mel bands (f_min, f_max, n_mel,
+    log_floor). The frames go in blocks (``_frame_blocks``) to
+    ``parallel.parallel_map``; each block's power is computed once, then
+    projected for every setting straight into the outputs, so no frames x
+    bins matrix is built.
+    """
+    cfg = cfgs[0]
+    if len({(c.window_len, c.hop, c.sample_rate) for c in cfgs}) != 1:
+        raise ValueError("settings differ in more than their mel bands")
+    blocks = _frame_blocks(n_frames_for(clip.samples.size, cfg.hop))
+    outs = [np.empty((blocks[-1][1], c.n_mel)) for c in cfgs]
+
+    def block(bounds):
+        start, stop = bounds
+        power = stft_power(clip, cfg, start, stop)
+        for c, out in zip(cfgs, outs):
+            log_mel(power, c, clip.sample_rate, out=out[start:stop])
+
+    parallel.parallel_map(block, blocks, len(blocks))
+    return outs
+
+
 def hf_lms(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:
-    """HF-LMS of one clip: log_mel of its stft_power."""
-    return log_mel(stft_power(clip, cfg), cfg, clip.sample_rate)
+    """HF-LMS of one clip, frames x n_mel: ``log_mels`` for one setting."""
+    return log_mels(clip, [cfg])[0]
 
 
 def _context_rows(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:

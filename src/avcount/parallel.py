@@ -6,10 +6,10 @@ runs on a core claimed from a count of idle cores. The count starts at
 usable cores - 1 (the calling thread has a core of its own), and
 ``cli.main`` holds back every core beyond ``--jobs`` (``cap``). Claims
 never block and are given back in ``finally``. A map inside a map, such as
-a clip's STFT in a clip map, finds the outer map's cores busy and runs
+a clip's front end in a clip map, finds the outer map's cores busy and runs
 inline. So a batch over many clips stays one thread per clip, ``--jobs 1``
 stays single-threaded, and a single request gets every idle core for its
-STFT. Which thread computes an item never changes its value, so outputs do
+front end. Which thread computes an item never changes its value, so outputs do
 not depend on any of this.
 
 The count and the pool (usable cores - 1 threads, started on first use)

@@ -21,6 +21,7 @@ from avcount.nn_core import NetworkSpec, NumericError, read_checkpoint, write_ch
 from avcount.peakdet import DetectorSpec
 from avcount.synthgen import SceneSpec
 from numeric_checks import one_blas_thread
+from test_dataio import TRUNCATED_FMT
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,14 @@ class TestExitCodes:
         code = main(["predict", "--model", str(tmp_path / "none"), "--audio", str(tmp_path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_wav_with_fmt_chunk_past_the_end_is_2(self, tmp_path, capsys):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        (audio / "cut.wav").write_bytes(TRUNCATED_FMT)
+        assert main(["extract", "--audio", str(audio), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {audio / 'cut.wav'}: fmt chunk declares 16 bytes") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "cfg",

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avcount.dataio import (
     DataError,
@@ -23,6 +25,34 @@ def write_raw_wav(path, payload, fmt_code=1, channels=1, rate=44100, bits=16):
     body += b"data" + struct.pack("<I", len(payload)) + payload
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+# a 4-byte data chunk, then a fmt chunk that declares 16 bytes and holds 2
+TRUNCATED_FMT = (
+    b"RIFF" + struct.pack("<I", 26) + b"WAVE" + b"data" + struct.pack("<I", 4) + bytes(4)
+    + b"fmt " + struct.pack("<I", 16) + b"\x01\x00"
+)
+
+
+@st.composite
+def riff_bytes(draw):
+    """RIFF/WAVE files of drawn chunks, each declaring its own size or any other, maybe cut short."""
+    fmt = st.builds(
+        lambda code, channels, rate, bits, extra: struct.pack("<HHIIHH", code, channels, rate, 0, 0, bits) + extra,
+        st.sampled_from([0, 1, 3, 6, 0xFFFE]),
+        st.integers(0, 3),
+        st.sampled_from([0, 1, 44100, 2**32 - 1]),
+        st.sampled_from([0, 8, 12, 16, 24, 32, 64]),
+        st.binary(max_size=32),
+    )
+    body = b"WAVE"
+    for _ in range(draw(st.integers(0, 3))):
+        cid = draw(st.sampled_from([b"fmt ", b"data", b"LIST"]))
+        payload = draw(fmt if cid == b"fmt " else st.binary(max_size=48))
+        size = draw(st.just(len(payload)) | st.integers(0, 2**32 - 1))
+        body += cid + struct.pack("<I", size) + payload
+    data = b"RIFF" + struct.pack("<I", len(body)) + body
+    return data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
 
 
 class TestLoadClip:
@@ -107,6 +137,26 @@ class TestLoadClip:
         with pytest.raises(DataError, match=f"declares 2000 bytes but the file holds {2000 - missing}") as info:
             load_clip(path)
         assert str(info.value).startswith(f"{path}: data chunk") and str(info.value).count(str(path)) == 1
+
+    def test_fmt_chunk_past_the_end_rejected(self, tmp_path):
+        path = tmp_path / "cut_fmt.wav"
+        path.write_bytes(TRUNCATED_FMT)
+        with pytest.raises(DataError, match="fmt chunk declares 16 bytes but the file holds 2") as info:
+            load_clip(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=riff_bytes() | st.binary(max_size=64))
+    @example(raw=TRUNCATED_FMT)
+    def test_any_bytes_load_or_raise_data_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "x.wav"
+        path.write_bytes(raw)
+        try:
+            clip = load_clip(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert clip.samples.ndim == 1 and clip.samples.size > 0 and clip.sample_rate > 0
 
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

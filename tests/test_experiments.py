@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numeric_checks import reports_equal
 
-from avcount import experiments
+from avcount import features
 from avcount.config import ToolConfig
 from avcount.dataio import DataError, DistanceSeries, PassByAnnotation, load_corpus, reference_distance
 from avcount.experiments import (
@@ -346,13 +346,15 @@ class TestPrepareCorpus:
     def test_stft_runs_once_per_clip(self, f0_config, monkeypatch, jobs):
         calls = []
 
-        def counting_stft_power(clip, cfg):
-            calls.append(clip.id)
-            return stft_power(clip, cfg)
+        def counting_stft_power(clip, cfg, start, stop):
+            calls.append((clip.id, start, stop))
+            return stft_power(clip, cfg, start, stop)
 
-        monkeypatch.setattr(experiments, "stft_power", counting_stft_power)
-        ids, *_ = prepare_corpus(f0_config, f0_config.paths["data_dir"], jobs, f0=True)
-        assert sorted(calls) == sorted(ids) and len(ids) == 10
+        monkeypatch.setattr(features, "stft_power", counting_stft_power)
+        ids, fms, *_ = prepare_corpus(f0_config, f0_config.paths["data_dir"], jobs, f0=True)
+        # one power per block, shared by both settings
+        blocks = [(i, *b) for i in ids for b in features._frame_blocks(fms[i].frames)]
+        assert sorted(calls) == sorted(blocks) and len(ids) == 10
 
     def test_no_f0_features_without_the_variant(self, tiny_config, jobs):
         assert prepare_corpus(tiny_config, tiny_config.paths["data_dir"], jobs)[4] is None
@@ -425,13 +427,13 @@ class TestStreamedCorpus:
                                 tiny_config.spectrogram, tiny_config.q, tiny_config.stride)
         computed = []
 
-        def counting_stft_power(clip, cfg):
+        def counting_stft_power(clip, cfg, start, stop):
             computed.append(clip.id)
-            return stft_power(clip, cfg)
+            return stft_power(clip, cfg, start, stop)
 
-        monkeypatch.setattr(experiments, "stft_power", counting_stft_power)
+        monkeypatch.setattr(features, "stft_power", counting_stft_power)
         assert_same_corpus(prepare_corpus(tiny_config, corpus, jobs, cache_dir=cache_dir), want)
-        assert sorted(computed) == sorted(set(want[0]) - set(cached))
+        assert sorted(set(computed)) == sorted(set(want[0]) - set(cached))
 
     def test_first_truncated_wav_in_path_order_is_named(self, tiny_config, corpus, jobs):
         paths = sorted(corpus.glob("*.wav"))

@@ -149,6 +149,58 @@ class TestBlockedStft:
         assert np.array_equal(p, direct_stft_power(x, CFG))
 
 
+def direct_lms(x, cfg):
+    """The unblocked front end: the log of one mel product over the whole power matrix."""
+    return np.log(direct_stft_power(x, cfg) @ mel_filterbank(cfg, 44100).T + cfg.log_floor)
+
+
+class TestBlockedLms:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("f_min", [1000.0, 0.0])
+    @pytest.mark.parametrize("n_frames", [1, 11, 63, 64, 65, 127, 128, 129, 540, 541, "shorter than a window"])
+    def test_equals_direct_formula(self, n_frames, f_min, threads):
+        n = W - 1 if isinstance(n_frames, str) else max(_length_for_frames(n_frames), CFG.hop)
+        x = noise_clip(seed=n, n=n).samples
+        cfg = SpectrogramConfig(f_min=f_min)
+        with blas_thread_count(threads):
+            assert np.array_equal(hf_lms(AudioClip(x, 44100, "a"), cfg), direct_lms(x, cfg))
+
+    def test_settings_share_each_blocks_power(self):
+        clip = noise_clip(seed=6, n=_length_for_frames(3 * BLOCK + 7))
+        cfgs = [CFG, SpectrogramConfig(f_min=0.0), SpectrogramConfig(n_mel=20, f_max=8000.0)]
+        for cfg, lms in zip(cfgs, features.log_mels(clip, cfgs), strict=True):
+            assert np.array_equal(lms, hf_lms(clip, cfg))
+        with pytest.raises(ValueError, match="more than their mel bands"):
+            features.log_mels(clip, [CFG, SpectrogramConfig(hop=1000)])
+
+    def test_blocks_tile_the_frames(self):
+        for n_frames in range(1, 3 * BLOCK + 2):
+            blocks = features._frame_blocks(n_frames)
+            assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+            assert blocks[-1][1] == n_frames
+            assert all(BLOCK <= b - a < 2 * BLOCK for a, b in blocks) or blocks == [(0, n_frames)]
+
+    def test_a_range_equals_those_rows_of_the_whole(self):
+        clip = noise_clip(seed=8, n=_length_for_frames(200))
+        whole = stft_power(clip, CFG)
+        for start, stop in [(0, 1), (0, 70), (3, 130), (130, 200), (199, 200)]:
+            assert np.array_equal(stft_power(clip, CFG, start, stop), whole[start:stop])
+        for start, stop in [(-1, 3), (5, 5), (190, 201)]:
+            with pytest.raises(ValueError, match="frame range"):
+                stft_power(clip, CFG, start, stop)
+
+    def test_ten_minutes_build_no_power_matrix(self):
+        clip = noise_clip(seed=1, n=600 * 44100)
+        tracemalloc.start()
+        try:
+            lms = hf_lms(clip, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the power matrix alone would be 16,194 x 2,049 float64, 253 MiB
+        assert lms.shape == (16194, 48) and peak <= 32 * 2**20
+
+
 # SHA-256 of the front end's output bytes for one seeded synthgen clip
 GOLDEN_STFT = "333468cc5836d8e4d171a726822a83b27280183d36ea8b33924b4821ad4b997e"
 GOLDEN_FEATURES = {

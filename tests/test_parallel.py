@@ -11,7 +11,7 @@ import pytest
 from avcount import features, parallel
 from avcount.cli import main
 from avcount.dataio import AudioClip
-from avcount.features import SpectrogramConfig, extract_features, n_frames_for, stft_power
+from avcount.features import SpectrogramConfig, extract_features, hf_lms, n_frames_for
 from avcount.synthgen import SceneSpec, generate_corpus
 from numeric_checks import blas_thread_count
 
@@ -22,17 +22,17 @@ def noise(n, seed=0):
     return AudioClip(np.random.default_rng(seed).uniform(-0.3, 0.3, n), 44100, "noise")
 
 
-def serial_power(clip, cfg):
+def serial_lms(clip, cfg):
     with parallel.hold(parallel._cores):
-        return stft_power(clip, cfg)
+        return hf_lms(clip, cfg)
 
 
 def n_blocks(clip, cfg):
-    runs = features._frame_runs(clip.samples, cfg, n_frames_for(clip.samples.size, cfg.hop))
-    return sum(-(-len(frames) // features._BLOCK_FRAMES) for _, frames in runs)
+    return len(features._frame_blocks(n_frames_for(clip.samples.size, cfg.hop)))
 
 
-# 20 s clip; 3 blocks plus 5 frames; shorter than one window with 250 frames
+# 20 s clip (8 blocks); 3 blocks, the last with 5 frames more; shorter than
+# one window with 250 frames (3 blocks)
 CASES = [(882000, CFG), ((64 * 3 + 5 - 1) * CFG.hop + 1, CFG), (4000, SpectrogramConfig(hop=16))]
 
 
@@ -40,10 +40,10 @@ CASES = [(882000, CFG), ((64 * 3 + 5 - 1) * CFG.hop + 1, CFG), (4000, Spectrogra
 @pytest.mark.parametrize("n,cfg", CASES)
 def test_stft_bytes_do_not_depend_on_helpers(helpers, n, cfg, cores):
     clip = noise(n, seed=n)
-    want = serial_power(clip, cfg)
+    want = serial_lms(clip, cfg)
     pool = cores(helpers + 1)
     for _ in range(3):
-        assert np.array_equal(stft_power(clip, cfg), want)
+        assert np.array_equal(hf_lms(clip, cfg), want)
     assert pool.submitted == 3 * min(helpers, n_blocks(clip, cfg) - 1)
     assert parallel._idle == helpers
 
@@ -73,7 +73,7 @@ def test_idle_count_returns_after_an_error(rfft, cores, monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", rfft)
     with pytest.raises(RuntimeError, match="failed"):
         for seed in range(5):  # a helper may start too late to take a block
-            stft_power(noise(882000, seed), CFG)
+            hf_lms(noise(882000, seed), CFG)
     assert parallel._idle == 2
 
 
@@ -97,11 +97,11 @@ def test_idle_count_returns_after_holds_and_maps(cores):
 def test_idle_count_survives_many_concurrent_callers(cores):
     cores(3)
     clips = [noise(5 * 44100, seed) for seed in range(8)]
-    want = [serial_power(c, CFG) for c in clips]
+    want = [serial_lms(c, CFG) for c in clips]
 
     def call(i):
         with parallel.hold(i % 2):  # half the callers also hold a core
-            return stft_power(clips[i % 8], CFG)
+            return hf_lms(clips[i % 8], CFG)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -116,12 +116,12 @@ def test_idle_count_survives_many_concurrent_callers(cores):
 
 def test_maps_of_many_callers_keep_order_bytes_and_count(cores):
     cores(3)
-    clips = [noise(5 * 44100, seed) for seed in range(6)]  # three blocks each
-    want = [serial_power(c, CFG) for c in clips]
+    clips = [noise(5 * 44100, seed) for seed in range(6)]  # two blocks each
+    want = [serial_lms(c, CFG) for c in clips]
 
-    def call(i):  # a map of clips whose STFTs map their blocks
+    def call(i):  # a map of clips whose front ends map their blocks
         order = [(i + k) % 6 for k in range(4)]
-        return order, parallel.parallel_map(lambda j: stft_power(clips[j], CFG), order, 1 + i % 3)
+        return order, parallel.parallel_map(lambda j: hf_lms(clips[j], CFG), order, 1 + i % 3)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -160,37 +160,37 @@ def test_map_raises_the_lowest_failing_index(cores):
 def test_clip_workers_borrow_no_helpers(jobs, items, cores):
     pool = cores(2)
     clips = [noise(882000, seed) for seed in range(items)]
-    powers = parallel.parallel_map(lambda c: stft_power(c, CFG), clips, jobs)
+    lms = parallel.parallel_map(lambda c: hf_lms(c, CFG), clips, jobs)
     # only the clip workers beyond the calling thread, bounded by the two cores
     assert pool.submitted == min(jobs, items, 2) - 1
-    assert all(np.array_equal(p, serial_power(c, CFG)) for p, c in zip(powers, clips))
+    assert all(np.array_equal(m, serial_lms(c, CFG)) for m, c in zip(lms, clips))
     assert parallel._idle == 1
 
 
 def test_pool_never_exceeds_usable_cores_minus_one(cores):
     parallel._reset(3)
     clips = [noise(882000, seed) for seed in range(4)]
-    parallel.parallel_map(lambda c: stft_power(c, CFG), clips, 1)
+    parallel.parallel_map(lambda c: hf_lms(c, CFG), clips, 1)
     with ThreadPoolExecutor(4) as outside:  # four callers at once, none holding cores
-        list(outside.map(lambda c: stft_power(c, CFG), clips))
+        list(outside.map(lambda c: hf_lms(c, CFG), clips))
     assert parallel._pool._max_workers == 2
     assert 1 <= len(parallel._pool._threads) <= 2
     parallel._pool.shutdown()
     parallel._reset()
     if parallel.usable_cores() > 1:
-        stft_power(clips[0], CFG)
+        hf_lms(clips[0], CFG)
         assert parallel._pool._max_workers == parallel.usable_cores() - 1
 
 
 def _child_digest(conn):
-    conn.send((parallel._idle, hashlib.sha256(stft_power(noise(882000), CFG).tobytes()).hexdigest()))
+    conn.send((parallel._idle, hashlib.sha256(hf_lms(noise(882000), CFG).tobytes()).hexdigest()))
     conn.close()
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
 def test_forked_child_gets_a_fresh_pool_and_the_same_bytes(cores):
     cores(2)
-    want = stft_power(noise(882000), CFG)  # the parent's pool has a live thread
+    want = hf_lms(noise(882000), CFG)  # the parent's pool has a live thread
     ctx = multiprocessing.get_context("fork")
     ours, theirs = ctx.Pipe()
     child = ctx.Process(target=_child_digest, args=(theirs,))
@@ -213,7 +213,10 @@ def test_forked_child_gets_a_fresh_pool_and_the_same_bytes(cores):
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
-    """A bundle trained for one epoch on a five-clip corpus, plus a one-clip corpus."""
+    """A bundle trained for one epoch on a five-clip corpus, plus a one-clip corpus.
+
+    The one clip is 8 s, so its front end has two blocks to share.
+    """
     root = tmp_path_factory.mktemp("parallel")
     config = root / "config.json"
     config.write_text('{"seed": 3, "epochs": 1}')
@@ -222,7 +225,7 @@ def bundle(tmp_path_factory):
     generate_corpus(scene, 5, root / "corpus")
     assert main(["train", "--config", str(config), "--data", str(root / "corpus"),
                  "--out", str(root / "model"), "--jobs", "1"]) == 0
-    generate_corpus(scene, 1, root / "one")
+    generate_corpus(SceneSpec(duration=8.0, n_vehicles=1, seed=11), 1, root / "one")
     return root
 
 
