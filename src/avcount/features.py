@@ -11,23 +11,26 @@ the spectra at q=5 surrounding instants with a stride of 2, giving
 (the last block takes the short tail) and hands them to
 ``parallel.parallel_map``: a library call on one clip may use every usable
 core, a command never more than ``--jobs`` threads. Each block windows,
-transforms and squares its frames (``stft_power`` of the range), then
-projects that power onto the mel bands of every requested setting
-(``log_mel``), straight into the frames x n_mel outputs; no frames x bins
-matrix is built. Frames that lie inside the clip are read as views of its
-samples; a block that overhangs an edge reads a reflect-padded copy of the
-samples it spans. The Hamming window and each mel filterbank are built
-once per setting and cached read-only. Each frame is transformed alone,
-and a row block of the mel product rounds as the whole product does under
-the same BLAS thread count, so the result is bit-identical to the direct
-``np.pad`` + full-array ``rfft`` + one ``power @ fb.T`` formula. For a 20 s
-clip the peak working memory of ``extract_features`` is 6.2 MB on one
-thread and 10.4 MB with one helper; ``hf_lms`` on a 600 s clip peaks at
-14 MiB, 6.2 MB of it the output.
+transforms and squares its frames (``stft_power`` of the range). On one
+BLAS thread the same thread then projects that power onto the mel bands of
+every requested setting (``log_mel``), straight into the frames x n_mel
+outputs. A BLAS with threads of its own would fight the other blocks'
+transforms for the cores, so there the blocks are mapped eight at a time
+into a group power matrix and the calling thread projects each group after
+its map. Either way no frames x bins matrix is built. Frames that lie
+inside the clip are read as views of its samples; a block that overhangs an
+edge reads a reflect-padded copy of the samples it spans. The Hamming
+window and each mel filterbank are built once per setting and cached
+read-only, and each thread keeps its windowed-frames and power work
+matrices between calls (``_scratch``). Each frame is transformed alone, and
+a row block of the mel product rounds as the whole product does under the
+same BLAS thread count, so the result is bit-identical to the direct
+``np.pad`` + full-array ``rfft`` + one ``power @ fb.T`` formula.
 """
 
 import functools
 import hashlib
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,6 +41,9 @@ from .dataio import AudioClip, DataError
 DEFAULT_Q = 5
 DEFAULT_CONTEXT_STRIDE = 2
 _BLOCK_FRAMES = 64  # frames per front-end block and rows per standardization pass
+_GROUP_BLOCKS = 8  # blocks mapped at a time on a threaded BLAS
+_BLOCK_ROWS = 2 * _BLOCK_FRAMES - 1  # most frames in one block
+_GROUP_ROWS = (_GROUP_BLOCKS + 1) * _BLOCK_FRAMES - 1  # most frames in one group
 
 
 @dataclass(frozen=True)
@@ -156,14 +162,14 @@ def _hamming(window_len: int) -> np.ndarray:
 
 
 def stft_power(
-    clip: AudioClip, cfg: SpectrogramConfig, start: int = 0, stop: int | None = None
+    clip: AudioClip, cfg: SpectrogramConfig, start: int = 0, stop: int | None = None, out=None
 ) -> np.ndarray:
     """Power spectrogram of frames start..stop-1 (all by default), x (window_len/2+1) bins.
 
     Frame m is centered at sample m*hop; the signal is reflect-padded by
     window_len/2 on both ends so the count is floor((n-1)/hop)+1. Each
     frame is transformed alone, so a frame's row does not depend on the
-    range it is computed in.
+    range it is computed in. The result goes into ``out`` when given.
     """
     if clip.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -176,7 +182,10 @@ def stft_power(
     stop = n_frames if stop is None else stop
     if not 0 <= start < stop <= n_frames:
         raise ValueError(f"frame range {start}..{stop} outside 0..{n_frames}")
-    power = np.abs(np.fft.rfft(_frames(x, cfg, start, stop) * _hamming(cfg.window_len), axis=1))
+    frames = _frames(x, cfg, start, stop)
+    windowed = _scratch("windowed", *frames.shape, _BLOCK_ROWS)
+    np.multiply(frames, _hamming(cfg.window_len), out=windowed)
+    power = np.abs(np.fft.rfft(windowed, axis=1), out=out)
     return np.square(power, out=power)
 
 
@@ -232,26 +241,62 @@ def _frame_blocks(n_frames: int) -> list:
 def log_mels(clip: AudioClip, cfgs) -> list:
     """log_mel of stft_power for each setting in ``cfgs``, one frames x n_mel matrix each.
 
-    The settings may differ only in their mel bands (f_min, f_max, n_mel,
-    log_floor). The frames go in blocks (``_frame_blocks``) to
-    ``parallel.parallel_map``; each block's power is computed once, then
-    projected for every setting straight into the outputs, so no frames x
-    bins matrix is built.
+    The settings share their window, hop and sample rate and differ only in
+    their mel bands. The frames go in blocks (``_frame_blocks``) to
+    ``parallel.parallel_map``, and each block's power is computed once for
+    every setting, so no frames x bins matrix is built. On one BLAS thread
+    the thread that transformed a block projects it. A BLAS with threads of
+    its own would take the cores the other blocks are transforming on, so
+    there the blocks are mapped ``_GROUP_BLOCKS`` at a time and this thread
+    projects each group after its map.
     """
     cfg = cfgs[0]
-    if len({(c.window_len, c.hop, c.sample_rate) for c in cfgs}) != 1:
-        raise ValueError("settings differ in more than their mel bands")
     blocks = _frame_blocks(n_frames_for(clip.samples.size, cfg.hop))
     outs = [np.empty((blocks[-1][1], c.n_mel)) for c in cfgs]
 
-    def block(bounds):
-        start, stop = bounds
-        power = stft_power(clip, cfg, start, stop)
+    def project(power, start, stop):
         for c, out in zip(cfgs, outs):
             log_mel(power, c, clip.sample_rate, out=out[start:stop])
 
-    parallel.parallel_map(block, blocks, len(blocks))
+    if parallel.blas_threads() == 1:
+
+        def block(bounds):
+            rows = _scratch("block_power", bounds[1] - bounds[0], cfg.n_bins, _BLOCK_ROWS)
+            project(stft_power(clip, cfg, *bounds, out=rows), *bounds)
+
+        parallel.parallel_map(block, blocks, len(blocks))
+        return outs
+    power = _scratch("group_power", _GROUP_ROWS, cfg.n_bins, _GROUP_ROWS)
+    for g in range(0, len(blocks), _GROUP_BLOCKS):
+        group = blocks[g : g + _GROUP_BLOCKS]
+        start, stop = group[0][0], group[-1][1]
+
+        def transform(bounds, start=start):
+            stft_power(clip, cfg, *bounds, out=power[bounds[0] - start : bounds[1] - start])
+
+        parallel.parallel_map(transform, group, len(group))
+        project(power[: stop - start], start, stop)
     return outs
+
+
+_work = threading.local()
+
+
+def _scratch(name: str, rows: int, cols: int, capacity: int) -> np.ndarray:
+    """rows x cols of this thread's work matrix ``name``, kept between calls.
+
+    Made and freed per block or group, the front end's 1-9 MB temporaries
+    went back to the system and were faulted in again, 1,300 to 2,400 page
+    faults per 20 s clip. More than ``capacity`` rows get a matrix of their
+    own, which is not kept.
+    """
+    if rows > capacity:
+        return np.empty((rows, cols))
+    work = getattr(_work, name, None)
+    if work is None or work.shape != (capacity, cols):
+        work = np.empty((capacity, cols))
+        setattr(_work, name, work)
+    return work[:rows]
 
 
 def hf_lms(clip: AudioClip, cfg: SpectrogramConfig) -> np.ndarray:

@@ -346,9 +346,9 @@ class TestPrepareCorpus:
     def test_stft_runs_once_per_clip(self, f0_config, monkeypatch, jobs):
         calls = []
 
-        def counting_stft_power(clip, cfg, start, stop):
+        def counting_stft_power(clip, cfg, start, stop, out=None):
             calls.append((clip.id, start, stop))
-            return stft_power(clip, cfg, start, stop)
+            return stft_power(clip, cfg, start, stop, out)
 
         monkeypatch.setattr(features, "stft_power", counting_stft_power)
         ids, fms, *_ = prepare_corpus(f0_config, f0_config.paths["data_dir"], jobs, f0=True)
@@ -427,13 +427,15 @@ class TestStreamedCorpus:
                                 tiny_config.spectrogram, tiny_config.q, tiny_config.stride)
         computed = []
 
-        def counting_stft_power(clip, cfg, start, stop):
-            computed.append(clip.id)
-            return stft_power(clip, cfg, start, stop)
+        def counting_stft_power(clip, cfg, start, stop, out=None):
+            computed.append((clip.id, start, stop))
+            return stft_power(clip, cfg, start, stop, out)
 
         monkeypatch.setattr(features, "stft_power", counting_stft_power)
         assert_same_corpus(prepare_corpus(tiny_config, corpus, jobs, cache_dir=cache_dir), want)
-        assert sorted(set(computed)) == sorted(set(want[0]) - set(cached))
+        uncached = [i for i in want[0] if i not in cached]
+        blocks = [(i, *b) for i in uncached for b in features._frame_blocks(want[1][i].frames)]
+        assert sorted(computed) == sorted(blocks)
 
     def test_first_truncated_wav_in_path_order_is_named(self, tiny_config, corpus, jobs):
         paths = sorted(corpus.glob("*.wav"))

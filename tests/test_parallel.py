@@ -31,9 +31,22 @@ def n_blocks(clip, cfg):
     return len(features._frame_blocks(n_frames_for(clip.samples.size, cfg.hop)))
 
 
+def helpers_asked(clip, cfg, helpers):
+    """Helpers one hf_lms call asks for: one map of all blocks on one BLAS
+    thread, else one map per group of blocks."""
+    n, size = n_blocks(clip, cfg), features._GROUP_BLOCKS
+    maps = [n] if parallel.blas_threads() == 1 else [min(size, n - g) for g in range(0, n, size)]
+    return sum(min(helpers, k - 1) for k in maps)
+
+
 # 20 s clip (8 blocks); 3 blocks, the last with 5 frames more; shorter than
-# one window with 250 frames (3 blocks)
-CASES = [(882000, CFG), ((64 * 3 + 5 - 1) * CFG.hop + 1, CFG), (4000, SpectrogramConfig(hop=16))]
+# one window with 250 frames (3 blocks); 60 s clip (25 blocks, four groups)
+CASES = [
+    (882000, CFG),
+    ((64 * 3 + 5 - 1) * CFG.hop + 1, CFG),
+    (4000, SpectrogramConfig(hop=16)),
+    (60 * 44100, CFG),
+]
 
 
 @pytest.mark.parametrize("helpers", [0, 1, 2, 3])
@@ -44,7 +57,20 @@ def test_stft_bytes_do_not_depend_on_helpers(helpers, n, cfg, cores):
     pool = cores(helpers + 1)
     for _ in range(3):
         assert np.array_equal(hf_lms(clip, cfg), want)
-    assert pool.submitted == 3 * min(helpers, n_blocks(clip, cfg) - 1)
+    assert pool.submitted == 3 * helpers_asked(clip, cfg, helpers)
+    assert parallel._idle == helpers
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("helpers", [0, 1, 3])
+def test_lms_bytes_do_not_depend_on_helpers_on_either_blas(helpers, threads, cores):
+    n, cfg = CASES[-1]
+    clip = noise(n, seed=n)
+    with blas_thread_count(threads):
+        want = serial_lms(clip, cfg)
+        pool = cores(helpers + 1)
+        assert np.array_equal(hf_lms(clip, cfg), want)
+        assert pool.submitted == helpers_asked(clip, cfg, helpers)
     assert parallel._idle == helpers
 
 
